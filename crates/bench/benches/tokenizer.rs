@@ -1,9 +1,12 @@
 //! Criterion bench for the BPE tokenizer hot path: incremental trainer vs
-//! the naive reference, encode throughput, and batch encoding.
+//! the naive reference, encode throughput, and batch counting, both over
+//! the base corpus and over the variant-expanded corpus the streamed
+//! pipeline counts.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion, Throughput};
 
-use pce_kernels::{build_corpus, CorpusConfig};
+use pce_bench::bench_study;
+use pce_kernels::{build_corpus, CorpusConfig, CorpusSpec, VariantAxes};
 use pce_tokenizer::{reference, BpeTrainer, Tokenizer};
 
 fn corpus_docs() -> Vec<String> {
@@ -51,10 +54,9 @@ fn bench_encode(c: &mut Criterion) {
     g.throughput(Throughput::Bytes(bytes as u64));
     g.sample_size(10);
     g.bench_function("heap_merge_corpus", |b| {
-        // One tokenizer across iterations: the first pass warms the chunk
-        // cache, so this measures warm steady state — deliberately, since
-        // that is what the pipeline (one tokenizer, whole corpus) sees.
-        // The naive baseline below has no cache by construction.
+        // One `count` per program: each call memoizes chunks only within
+        // its own text, so this is the per-program cost with no reuse
+        // across programs (`count_batch_corpus` below adds that).
         let tok = Tokenizer::new(vocab.clone());
         b.iter(|| {
             let mut total = 0usize;
@@ -81,5 +83,34 @@ fn bench_encode(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_train, bench_encode);
+/// `count_batch` over the first 2,048 variants of the smoke base corpus ×
+/// [`VariantAxes::scale`], with the study's tokenizer settings: the
+/// repetition-heavy input one streamed-pipeline shard stage counts.
+fn bench_count_variants(c: &mut Criterion) {
+    let study = bench_study();
+    let spec = CorpusSpec {
+        base: study.corpus,
+        axes: VariantAxes::scale(),
+    };
+    let docs: Vec<String> = spec
+        .stream_range(0, 2048)
+        .map(|p| p.expect("variant decodes").source)
+        .collect();
+    let refs: Vec<&str> = docs.iter().map(|s| s.as_str()).collect();
+    let training = refs
+        .iter()
+        .step_by(study.pipeline.tokenizer_stride.max(1))
+        .copied();
+    let tok = Tokenizer::new(BpeTrainer::new(study.pipeline.tokenizer_vocab).train(training));
+    let bytes: usize = docs.iter().map(|d| d.len()).sum();
+    let mut g = c.benchmark_group("bpe_count");
+    g.throughput(Throughput::Bytes(bytes as u64));
+    g.sample_size(10);
+    g.bench_function("count_batch_variants", |b| {
+        b.iter(|| std::hint::black_box(tok.count_batch(&refs)))
+    });
+    g.finish();
+}
+
+criterion_group!(benches, bench_train, bench_encode, bench_count_variants);
 criterion_main!(benches);

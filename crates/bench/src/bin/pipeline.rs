@@ -1,7 +1,8 @@
 //! Streamed-pipeline scale benchmark: run a variant-expanded corpus
 //! (smoke base × [`VariantAxes::scale`] = 10k+ kernels) through the
-//! sharded pipeline under a bounded memo budget, and write per-stage
-//! wall-clock plus dedup/cache effectiveness to `BENCH_pipeline.json`.
+//! sharded pipeline under a bounded memo budget, and write the host stamp,
+//! per-stage wall-clock and dedup/cache effectiveness to
+//! `BENCH_pipeline.json`.
 //!
 //! The CI `corpus-scale-smoke` job replays this binary and guards the
 //! committed baseline: nonzero variant-dedup hits, `resident_bytes`
@@ -14,16 +15,19 @@
 
 use std::time::Instant;
 
-use pce_bench::{flag_value, study_from_args};
+use pce_bench::{flag_value, host_stamp, study_from_args, HostStamp};
 use pce_dataset::run_pipeline_streamed_timed;
 use pce_gpu_sim::{CacheCounters, SimBudget, SimCaches};
 use pce_kernels::{CorpusSpec, VariantAxes};
 use pce_memo::DedupStats;
 
-/// The committed `BENCH_pipeline.json` baseline: scale parameters,
-/// per-stage wall clock, dedup effectiveness, and memo-cache residency.
+/// The committed `BENCH_pipeline.json` baseline: the host it ran on,
+/// scale parameters, per-stage wall clock, dedup effectiveness, and
+/// memo-cache residency.
 #[derive(Debug, serde::Serialize, serde::Deserialize)]
 struct PipelineBenchReport {
+    /// The machine the timings come from.
+    host: HostStamp,
     /// Total variant-expanded corpus size streamed.
     variants: usize,
     /// Programs per shard.
@@ -103,6 +107,7 @@ fn main() {
     );
 
     let bench = PipelineBenchReport {
+        host: host_stamp(),
         variants: spec.len(),
         shard_size,
         cache_bytes,

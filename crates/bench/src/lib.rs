@@ -109,6 +109,36 @@ pub fn chaos_from_args(args: &[String]) -> Result<Option<ChaosConfig>, String> {
     Ok(Some(chaos))
 }
 
+/// The machine a timing was taken on. A wall-clock number means nothing
+/// without it, so every bin that writes timings records one.
+#[derive(Debug, Clone, PartialEq, Eq, serde::Serialize, serde::Deserialize)]
+pub struct HostStamp {
+    /// Logical CPUs available to the process.
+    pub nproc: usize,
+    /// The first `model name` of `/proc/cpuinfo` (`"unknown"` elsewhere).
+    pub cpu_model: String,
+    /// `RAYON_NUM_THREADS` as set in the environment, `None` when unset.
+    pub rayon_threads: Option<String>,
+}
+
+/// Stamp the current host: CPU count, CPU model and thread budget.
+pub fn host_stamp() -> HostStamp {
+    let cpu_model = std::fs::read_to_string("/proc/cpuinfo")
+        .ok()
+        .and_then(|info| {
+            info.lines()
+                .filter_map(|l| l.split_once(':'))
+                .find(|(k, _)| k.trim() == "model name")
+                .map(|(_, v)| v.trim().to_string())
+        })
+        .unwrap_or_else(|| "unknown".to_string());
+    HostStamp {
+        nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+        cpu_model,
+        rayon_threads: std::env::var("RAYON_NUM_THREADS").ok(),
+    }
+}
+
 /// Parse a comma-separated spec list into hardware presets of any class.
 ///
 /// Names resolve case- and format-insensitively (`"a100"`, `"RTX 3080"`,
@@ -209,6 +239,17 @@ mod tests {
             vec!["suite", "--chaos", "1", "--fault-rate", "abc"],
         ] {
             assert!(chaos_from_args(&args(&bad)).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn host_stamp_names_the_machine() {
+        let host = host_stamp();
+        assert!(host.nproc >= 1);
+        assert!(!host.cpu_model.is_empty());
+        let json = serde_json::to_string(&host).unwrap();
+        for key in ["nproc", "cpu_model", "rayon_threads"] {
+            assert!(json.contains(key), "{json}");
         }
     }
 

@@ -3,15 +3,16 @@
 //! Encoding is the hot path of the dataset pipeline (every corpus program
 //! is token-counted to enforce the 8e3 cutoff), so `encode_chunk` uses a
 //! linked-list + min-heap merge — O(n log n) per chunk instead of the
-//! naive rescan-per-merge O(n²) — plus a sharded chunk-result cache that
-//! exploits how heavily generated CUDA/OMP source repeats identifiers,
-//! keywords, and punctuation. Batch entry points (`encode_batch`,
-//! `count_batch`) fan work across threads while sharing the cache.
+//! naive rescan-per-merge O(n²). Generated CUDA/OMP source repeats a
+//! small set of identifiers, keywords and punctuation, so each call keeps
+//! a private chunk memo and merges every distinct chunk once.
+//! `count_batch` gives each worker one contiguous run of texts with its
+//! own memo, so threads share nothing mutable.
 
 use serde::{Deserialize, Serialize};
 use std::cmp::Ordering;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::Mutex;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rayon::prelude::*;
 
@@ -51,84 +52,56 @@ impl Vocab {
     }
 }
 
-/// Number of cache shards (power of two; sharding keeps lock contention
-/// negligible under `encode_batch`).
-const CACHE_SHARDS: usize = 16;
-/// Per-shard entry cap: bounds memory; generated source repeats a small
-/// identifier/keyword set, so the cap is rarely reached.
-const CACHE_SHARD_CAP: usize = 4096;
-/// Only chunks up to this many bytes are cached (longer chunks are rare
-/// one-offs; caching them would just churn memory).
-const CACHE_MAX_CHUNK: usize = 64;
+/// A chunk memo keyed by slices of the caller's own input, so building it
+/// never copies text. It lives for one call (or one worker's run of a
+/// batch) and is never shared, so it needs no lock.
+type ChunkMemo<'t, V> = HashMap<&'t str, V, BuildHasherDefault<ChunkHasher>>;
 
-/// One cache shard: interned chunk text -> its token ids.
-type Shard = Mutex<HashMap<Box<str>, Box<[u32]>>>;
-
-/// Sharded memo of `chunk -> token ids`.
+/// The memo's hasher: a multiply-rotate over 8-byte words. Pre-token
+/// chunks are a few bytes long and a corpus makes tens of millions of
+/// lookups, where SipHash's rounds measured ~2× slower. It has no defence
+/// against crafted collisions; the keys are program-generated corpus
+/// source, and a collision would cost time, never a wrong result.
 #[derive(Debug, Default)]
-struct ChunkCache {
-    shards: Vec<Shard>,
+struct ChunkHasher(u64);
+
+impl ChunkHasher {
+    #[inline]
+    fn mix(&mut self, word: u64) {
+        self.0 = (self.0.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
+    }
 }
 
-impl ChunkCache {
-    fn new() -> Self {
-        ChunkCache {
-            shards: (0..CACHE_SHARDS)
-                .map(|_| Mutex::new(HashMap::new()))
-                .collect(),
+impl Hasher for ChunkHasher {
+    #[inline]
+    fn write(&mut self, bytes: &[u8]) {
+        let (words, tail) = bytes.split_at(bytes.len() & !7);
+        for w in words.chunks_exact(8) {
+            self.mix(u64::from_le_bytes(w.try_into().expect("8-byte word")));
         }
+        // The tail folds onto the length, which keeps "a" and "a\0" apart.
+        self.mix(
+            tail.iter()
+                .rev()
+                .fold(bytes.len() as u64, |acc, &b| (acc << 8) | u64::from(b)),
+        );
     }
 
     #[inline]
-    fn shard(&self, chunk: &str) -> &Shard {
-        // FNV-1a over the chunk bytes picks the shard.
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        for b in chunk.bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x100_0000_01b3);
-        }
-        &self.shards[(h as usize) & (CACHE_SHARDS - 1)]
-    }
-
-    /// Append the ids for `chunk` to `out`, returning `true` on a hit.
-    fn extend_hit(&self, chunk: &str, out: &mut Vec<u32>) -> bool {
-        let shard = self.shard(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        match shard.get(chunk) {
-            Some(ids) => {
-                out.extend_from_slice(ids);
-                true
-            }
-            None => false,
-        }
-    }
-
-    fn insert(&self, chunk: &str, ids: &[u32]) {
-        let mut shard = self.shard(chunk).lock().unwrap_or_else(|e| e.into_inner());
-        if shard.len() < CACHE_SHARD_CAP {
-            shard.insert(Box::from(chunk), Box::from(ids));
-        }
+    fn finish(&self) -> u64 {
+        // The table indexes by the low bits, which the multiply mixes
+        // least; rotate the well-mixed high bits down.
+        self.0.rotate_left(26)
     }
 }
 
-/// A BPE encoder/decoder over a trained [`Vocab`].
-#[derive(Debug)]
+/// A BPE encoder/decoder over a trained [`Vocab`]. An immutable value:
+/// every method takes `&self` and shares nothing mutable between calls.
+#[derive(Debug, Clone)]
 pub struct Tokenizer {
     vocab: Vocab,
     /// merge pair -> (rank, produced id)
     ranks: HashMap<(u32, u32), (u32, u32)>,
-    /// chunk -> ids memo, shared across threads in batch encodes.
-    cache: ChunkCache,
-}
-
-impl Clone for Tokenizer {
-    fn clone(&self) -> Self {
-        // The cache is a derived memo: a clone starts cold.
-        Tokenizer {
-            vocab: self.vocab.clone(),
-            ranks: self.ranks.clone(),
-            cache: ChunkCache::new(),
-        }
-    }
 }
 
 /// A merge candidate in the encode heap: ordered by (rank, position) so
@@ -170,11 +143,7 @@ impl Tokenizer {
         for (rank, &(l, r)) in vocab.merges.iter().enumerate() {
             ranks.insert((l, r), (rank as u32, 256 + rank as u32));
         }
-        Tokenizer {
-            vocab,
-            ranks,
-            cache: ChunkCache::new(),
-        }
+        Tokenizer { vocab, ranks }
     }
 
     /// The underlying vocabulary.
@@ -188,49 +157,67 @@ impl Tokenizer {
         &self.ranks
     }
 
-    /// Encode text to token ids.
+    /// Encode text to token ids. A chunk seen earlier in `text` replays
+    /// its ids from the output instead of being merged again.
     pub fn encode(&self, text: &str) -> Vec<u32> {
         let mut out = Vec::with_capacity(text.len() / 3 + 1);
+        // chunk -> (start, len) of its ids in `out`
+        let mut memo: ChunkMemo<(usize, usize)> = ChunkMemo::default();
         for chunk in pretokenize(text) {
-            self.encode_chunk_cached(chunk, &mut out);
+            let start = out.len();
+            match memo.get(chunk) {
+                Some(&(at, len)) => out.extend_from_within(at..at + len),
+                None => {
+                    self.encode_chunk(chunk.as_bytes(), &mut out);
+                    memo.insert(chunk, (start, out.len() - start));
+                }
+            }
         }
         out
     }
 
     /// Number of tokens `text` encodes to.
     pub fn count(&self, text: &str) -> usize {
-        let mut scratch = Vec::with_capacity(64);
-        let mut n = 0;
-        for chunk in pretokenize(text) {
-            scratch.clear();
-            self.encode_chunk_cached(chunk, &mut scratch);
-            n += scratch.len();
-        }
-        n
+        self.count_run(&[text])[0]
     }
 
-    /// Encode a batch of texts in parallel, sharing the chunk cache.
+    /// Encode a batch of texts in parallel, one text per task.
     pub fn encode_batch(&self, texts: &[&str]) -> Vec<Vec<u32>> {
         texts.par_iter().map(|t| self.encode(t)).collect()
     }
 
-    /// Token counts for a batch of texts, in parallel, sharing the chunk
-    /// cache. This is the pipeline's pruning hot path.
+    /// Token counts for a batch of texts. This is the pipeline's pruning
+    /// hot path: the texts split into one contiguous run per worker, and
+    /// each run counts with a private chunk memo, so a chunk repeated
+    /// across the run's texts is merged once and workers never contend.
     pub fn count_batch(&self, texts: &[&str]) -> Vec<usize> {
-        texts.par_iter().map(|t| self.count(t)).collect()
+        let run_len = texts.len().div_ceil(rayon::current_num_threads()).max(1);
+        texts
+            .par_chunks(run_len)
+            .map(|run| self.count_run(run))
+            .collect::<Vec<_>>()
+            .concat()
     }
 
-    /// Encode one pre-token chunk, consulting the shared cache.
-    fn encode_chunk_cached(&self, chunk: &str, out: &mut Vec<u32>) {
-        let cacheable = chunk.len() <= CACHE_MAX_CHUNK && !self.ranks.is_empty();
-        if cacheable && self.cache.extend_hit(chunk, out) {
-            return;
-        }
-        let start = out.len();
-        self.encode_chunk(chunk.as_bytes(), out);
-        if cacheable {
-            self.cache.insert(chunk, &out[start..]);
-        }
+    /// Token counts for `texts`, in order, sharing one chunk -> count memo.
+    fn count_run<'t>(&self, texts: &[&'t str]) -> Vec<usize> {
+        let mut memo: ChunkMemo<'t, u32> = ChunkMemo::default();
+        let mut scratch = Vec::new();
+        texts
+            .iter()
+            .map(|text| {
+                pretokenize(text)
+                    .into_iter()
+                    .map(|chunk| {
+                        *memo.entry(chunk).or_insert_with(|| {
+                            scratch.clear();
+                            self.encode_chunk(chunk.as_bytes(), &mut scratch);
+                            scratch.len() as u32
+                        }) as usize
+                    })
+                    .sum()
+            })
+            .collect()
     }
 
     /// Merge one chunk with a linked list + min-heap: every adjacent pair
@@ -442,15 +429,13 @@ mod tests {
     }
 
     #[test]
-    fn cache_does_not_change_results() {
+    fn memo_does_not_change_results() {
         let tok = trained();
-        let text = "float float float float"; // identical chunks -> cache hits
-        let first = tok.encode(text);
-        let second = tok.encode(text);
-        assert_eq!(first, second);
-        assert_eq!(tok.decode(&first), text);
-        // A cold clone agrees with the warmed original.
-        assert_eq!(tok.clone().encode(text), first);
+        let text = "float float float float"; // identical chunks -> memo hits
+        let ids = tok.encode(text);
+        assert_eq!(ids, naive_encode(&tok, text));
+        assert_eq!(tok.decode(&ids), text);
+        assert_eq!(tok.count(text), ids.len());
     }
 
     #[test]
@@ -462,13 +447,24 @@ mod tests {
             "",
             "λ λ λ",
         ];
-        let refs: Vec<&str> = texts.to_vec();
-        let batch_ids = tok.encode_batch(&refs);
-        let batch_counts = tok.count_batch(&refs);
-        for (i, t) in texts.iter().enumerate() {
-            assert_eq!(batch_ids[i], tok.encode(t), "ids diverged on {t:?}");
-            assert_eq!(batch_counts[i], tok.count(t), "count diverged on {t:?}");
-            assert_eq!(batch_counts[i], batch_ids[i].len());
+        // A prime-length batch (longer than the thread count, so split
+        // into uneven runs) whose texts repeat chunks across each other.
+        let repeated: Vec<String> = (0..37)
+            .map(|i| format!("float a{} = b[i] + {i}; {}", i % 5, texts[i % texts.len()]))
+            .collect();
+        for refs in [
+            texts.to_vec(),
+            repeated.iter().map(String::as_str).collect(),
+        ] {
+            let batch_ids = tok.encode_batch(&refs);
+            let batch_counts = tok.count_batch(&refs);
+            assert_eq!(batch_counts.len(), refs.len());
+            for (i, t) in refs.iter().enumerate() {
+                assert_eq!(batch_ids[i], naive_encode(&tok, t), "ids diverged on {t:?}");
+                assert_eq!(batch_counts[i], tok.count(t), "count diverged on {t:?}");
+                assert_eq!(batch_counts[i], batch_ids[i].len());
+            }
         }
+        assert!(tok.count_batch(&[]).is_empty());
     }
 }

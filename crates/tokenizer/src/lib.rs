@@ -32,9 +32,9 @@
 //!   instead of O(vocab × corpus) — with rayon-parallel initial chunk
 //!   counting.
 //! * [`Tokenizer::encode`](bpe::Tokenizer::encode) merges each chunk with
-//!   a linked list + min-heap in O(n log n) and memoizes per-chunk results
-//!   in a sharded cache; [`encode_batch`](bpe::Tokenizer::encode_batch) /
-//!   [`count_batch`](bpe::Tokenizer::count_batch) fan out across threads.
+//!   a linked list + min-heap in O(n log n), once per distinct chunk;
+//!   [`count_batch`](bpe::Tokenizer::count_batch) gives each worker a
+//!   contiguous run of texts with a private, lock-free chunk memo.
 //!
 //! The original naive algorithms live on in [`reference`] as the
 //! correctness oracle (property-tested bit-identical) and the benchmark

@@ -180,7 +180,8 @@ fn fast_bpe_matches_naive_reference_on_a_real_corpus_at_vocab_1200() {
     // default vocabulary (1200) over generated corpus source, the
     // incremental trainer must produce a bit-identical merge table to the
     // naive recount-per-merge reference, and the heap-merge encoder must
-    // produce identical ids.
+    // produce identical ids. The batch counter, whose chunk memo spans
+    // programs, must match the naive ids' length for every program.
     use parallel_code_estimation::tokenizer::{reference, BpeTrainer, Tokenizer};
     let programs = corpus();
     let docs: Vec<&str> = programs.iter().map(|p| p.source.as_str()).collect();
@@ -189,9 +190,13 @@ fn fast_bpe_matches_naive_reference_on_a_real_corpus_at_vocab_1200() {
     assert_eq!(fast, naive, "merge tables diverged at vocab 1200");
 
     let tok = Tokenizer::new(fast);
-    for (p, doc) in programs.iter().zip(&docs) {
+    let counts = tok.count_batch(&docs);
+    assert_eq!(counts.len(), docs.len());
+    for ((p, doc), &count) in programs.iter().zip(&docs).zip(&counts) {
+        let naive_ids = reference::naive_encode(&tok, doc);
         let heap_ids = tok.encode(doc);
-        assert_eq!(heap_ids, reference::naive_encode(&tok, doc), "{}", p.id);
+        assert_eq!(heap_ids, naive_ids, "{}", p.id);
+        assert_eq!(count, naive_ids.len(), "{}: batch count", p.id);
         assert_eq!(tok.decode(&heap_ids), **doc, "{}: lossless decode", p.id);
     }
 }
