@@ -145,14 +145,9 @@ pub struct SharedBuild {
 }
 
 impl SharedBuild {
-    /// Build the shared half from the suite's base study. Fails only when
-    /// corpus generation does.
-    pub fn build(suite: &Suite) -> Result<SharedBuild, PceError> {
-        SharedBuild::build_cached(suite, &SuiteCaches::new())
-    }
-
-    /// [`SharedBuild::build`] against a shared cache bundle (the RQ1 bank
-    /// routes its prompt parsing through the bundle's caches).
+    /// Build the shared half from the suite's base study against a shared
+    /// cache bundle (the RQ1 bank routes its prompt parsing through the
+    /// bundle's caches). Fails only when corpus generation does.
     pub fn build_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SharedBuild, PceError> {
         SharedBuild::build_instrumented(suite, caches, &mut |_, _| {})
     }
@@ -408,13 +403,8 @@ pub fn run_suite_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutc
     run_suite_shared_cached(suite, &shared, caches)
 }
 
-/// Run the suite against an existing [`SharedBuild`] (exposed so tests
-/// can assert exactly what is shared).
-pub fn run_suite_shared(suite: &Suite, shared: &SharedBuild) -> Result<SuiteOutcome, PceError> {
-    run_suite_shared_cached(suite, shared, &SuiteCaches::new())
-}
-
-/// [`run_suite_shared`] against a shared cache bundle.
+/// Run the suite against an existing [`SharedBuild`] and a shared cache
+/// bundle (exposed so tests can assert exactly what is shared).
 pub fn run_suite_shared_cached(
     suite: &Suite,
     shared: &SharedBuild,

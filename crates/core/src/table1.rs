@@ -73,7 +73,7 @@ const RQ1_SKIP: [&str; 2] = ["o1", "gpt-4.5-preview"];
 /// RQ1 prompts embed their own randomly drawn rooflines, so the outcomes
 /// depend only on `study.rq1_rooflines` and `study.seed` — never on
 /// `study.hardware`. The cross-hardware suite therefore computes the bank
-/// once and reuses it for every spec; [`build_table1_from_bank`] absorbs
+/// once and reuses it for every spec; [`build_table1_from_bank_cached`] absorbs
 /// the bank's billed usage so per-spec costs match an inline run exactly.
 #[derive(Debug, Clone)]
 pub struct Rq1Bank {
@@ -83,14 +83,9 @@ pub struct Rq1Bank {
 
 impl Rq1Bank {
     /// Run RQ1 for every zoo model the paper evaluates (parallel over
-    /// models).
-    pub fn build(study: &Study) -> Rq1Bank {
-        Rq1Bank::build_cached(study, &LlmCaches::new())
-    }
-
-    /// [`Rq1Bank::build`] against a shared engine cache bundle: the RQ1
-    /// prompt-parse cache collapses the per-model re-parsing of the same
-    /// few-shot prompts. Bit-identical to an uncached build.
+    /// models) against a shared engine cache bundle: the RQ1 prompt-parse
+    /// cache collapses the per-model re-parsing of the same few-shot
+    /// prompts. Bit-identical on a fresh or a warm bundle.
     pub fn build_cached(study: &Study, caches: &LlmCaches) -> Rq1Bank {
         let engine = SurrogateEngine::with_caches(caches.clone());
         let names: Vec<String> = model_zoo()
@@ -127,29 +122,20 @@ pub struct Table1Detail {
 
 /// Run the full Table-1 evaluation.
 pub fn build_table1(study: &Study, data: &StudyData) -> Table1 {
-    build_table1_from_bank(study, &data.dataset.samples, &Rq1Bank::build(study)).table
+    let bank = Rq1Bank::build_cached(study, &LlmCaches::new());
+    build_table1_from_bank_cached(study, &data.dataset.samples, &bank, &SuiteCaches::new()).table
 }
 
 /// Run the Table-1 evaluation over a balanced sample set against
-/// precomputed RQ1 results.
+/// precomputed RQ1 results and a shared cache bundle.
 ///
 /// The (hardware, model) cells run in parallel over the zoo; the bank's
 /// billed usage is folded into the table's total spend, so the result is
-/// bit-identical to an inline [`build_table1`] run.
-pub fn build_table1_from_bank(
-    study: &Study,
-    samples: &[pce_dataset::Sample],
-    bank: &Rq1Bank,
-) -> Table1Detail {
-    build_table1_from_bank_cached(study, samples, bank, &SuiteCaches::new())
-}
-
-/// [`build_table1_from_bank`] against a shared cache bundle.
-///
-/// Each (sample, shot-style) prompt is rendered **once** and fanned out
-/// over the nine-model zoo, and the engine's analysis/parse caches are
-/// shared with whatever else runs on the bundle (other hardware specs,
-/// repeated runs). Bit-identical to the uncached assembly.
+/// bit-identical to an inline [`build_table1`] run. Each (sample,
+/// shot-style) prompt is rendered **once** and fanned out over the
+/// nine-model zoo, and the engine's analysis/parse caches are shared with
+/// whatever else runs on the bundle (other hardware specs, repeated
+/// runs). Bit-identical on a fresh or a warm bundle.
 pub fn build_table1_from_bank_cached(
     study: &Study,
     samples: &[pce_dataset::Sample],
@@ -284,9 +270,10 @@ mod tests {
         let study = Study::smoke();
         let data = StudyData::build(&study).expect("study builds");
         let inline = build_table1(&study, &data);
-        let bank = Rq1Bank::build(&study);
-        let detail_a = build_table1_from_bank(&study, &data.dataset.samples, &bank);
-        let detail_b = build_table1_from_bank(&study, &data.dataset.samples, &bank);
+        let bank = Rq1Bank::build_cached(&study, &LlmCaches::new());
+        let samples = &data.dataset.samples;
+        let detail_a = build_table1_from_bank_cached(&study, samples, &bank, &SuiteCaches::new());
+        let detail_b = build_table1_from_bank_cached(&study, samples, &bank, &SuiteCaches::new());
         // Exact equality, total_cost included: integer token accounting
         // makes the spend independent of evaluation order.
         assert_eq!(detail_a.table, inline);
@@ -313,18 +300,19 @@ mod tests {
         let bank = Rq1Bank::build_cached(&study, &caches.llm);
         assert_eq!(
             bank.outcome("o3-mini").map(|o| o.best_acc),
-            Rq1Bank::build(&study)
+            Rq1Bank::build_cached(&study, &LlmCaches::new())
                 .outcome("o3-mini")
                 .map(|o| o.best_acc)
         );
-        let cold = build_table1_from_bank(&study, &data.dataset.samples, &bank);
-        let warm = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches);
+        let samples = &data.dataset.samples;
+        let cold = build_table1_from_bank_cached(&study, samples, &bank, &SuiteCaches::new());
+        let warm = build_table1_from_bank_cached(&study, samples, &bank, &caches);
         // Exact equality, total_cost included: billing derives from
         // integer token totals over byte-identical prompts.
         assert_eq!(cold, warm);
         // Run again on the warm bundle: still identical, and the shared
         // caches actually collapsed work.
-        let warm2 = build_table1_from_bank_cached(&study, &data.dataset.samples, &bank, &caches);
+        let warm2 = build_table1_from_bank_cached(&study, samples, &bank, &caches);
         assert_eq!(cold, warm2);
         let report = caches.report();
         assert!(report.analysis.hits > 0, "{report:?}");
@@ -335,7 +323,7 @@ mod tests {
 
     #[test]
     fn rq1_bank_covers_exactly_the_evaluated_models() {
-        let bank = Rq1Bank::build(&Study::smoke());
+        let bank = Rq1Bank::build_cached(&Study::smoke(), &LlmCaches::new());
         for m in model_zoo() {
             let skipped = RQ1_SKIP.contains(&m.name.as_str());
             assert_eq!(bank.outcome(&m.name).is_none(), skipped, "{}", m.name);

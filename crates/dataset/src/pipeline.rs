@@ -1,19 +1,17 @@
 //! The end-to-end dataset pipeline.
 
-use rand::seq::SliceRandom;
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::sync::OnceLock;
 
 use pce_fault::PceError;
-use pce_gpu_sim::{Profiler, SimCaches};
-use pce_kernels::{Language, Program};
-use pce_memo::{DedupStats, Fnv, StreamDedup};
-use pce_roofline::{classify_joint, Boundedness, SpecPair};
+use pce_gpu_sim::SimCaches;
+use pce_kernels::Program;
+use pce_memo::DedupStats;
+use pce_roofline::{Boundedness, SpecPair};
 use pce_tokenizer::{token_quartiles, BpeTrainer, TokenStats, Tokenizer};
 
+use crate::engine::{self, audit_distinct, HazardAudit, Input};
 use crate::sample::Sample;
 
 /// Pipeline configuration (§2.1–2.2 defaults).
@@ -93,13 +91,17 @@ pub struct Split {
     pub validation: Dataset,
 }
 
-/// The hardware-independent half of the pipeline: a trained tokenizer and
-/// per-program token counts for one corpus.
+/// The hardware-independent half of the pipeline for one corpus: a
+/// trained tokenizer, per-program token counts, and the corpus's hazard
+/// audit.
 ///
 /// Build it once with [`tokenize_corpus`] and feed it to
-/// [`run_pipeline_with`] for every hardware spec — only profiling and
+/// [`run_pipeline_cached`] for every hardware spec — only profiling and
 /// labeling depend on the hardware, so a cross-hardware sweep never
-/// retrains the tokenizer or recounts tokens.
+/// retrains the tokenizer, recounts tokens, or re-audits a source. The
+/// audit runs on the first pipeline call, not here, and is kept for
+/// every later call; a `TokenizedCorpus` therefore belongs to the one
+/// corpus it was built from.
 #[derive(Debug, Clone)]
 pub struct TokenizedCorpus {
     /// The trained tokenizer (for downstream consumers such as prompts).
@@ -109,6 +111,24 @@ pub struct TokenizedCorpus {
     /// Token-count distribution over the raw corpus (`None` only for an
     /// empty corpus).
     pub raw_token_stats: Option<TokenStats>,
+    /// Per-rule hazard counts over the corpus's distinct sources, filled
+    /// by the first [`TokenizedCorpus::hazards`] call.
+    hazards: OnceLock<BTreeMap<String, u64>>,
+}
+
+impl TokenizedCorpus {
+    /// The hazard audit of `corpus` (see [`PipelineReport::hazards`]):
+    /// `diagnose` runs once per distinct source on the first call, and
+    /// every later call returns that result.
+    pub(crate) fn hazards(&self, corpus: &[Program]) -> &BTreeMap<String, u64> {
+        self.hazards.get_or_init(|| {
+            let mut audit = HazardAudit::new();
+            for (fp, counts) in audit_distinct(corpus.iter().map(|p| p.source.as_str())) {
+                audit.observe_counts(fp, &counts);
+            }
+            audit.into_counts()
+        })
+    }
 }
 
 /// Train the tokenizer on the configured corpus subsample and token-count
@@ -130,6 +150,7 @@ pub fn tokenize_corpus(corpus: &[Program], cfg: &PipelineConfig) -> TokenizedCor
         tokenizer,
         token_counts,
         raw_token_stats,
+        hazards: OnceLock::new(),
     }
 }
 
@@ -181,405 +202,56 @@ pub struct PipelineReport {
 /// Run the full pipeline over a corpus.
 ///
 /// Returns the balanced dataset, its train/validation split, and the
-/// funnel report. Tokenizes internally; cross-hardware callers should
-/// [`tokenize_corpus`] once and call [`run_pipeline_with`] per spec.
+/// funnel report. Tokenizes and profiles from scratch on every call;
+/// cross-hardware callers should [`tokenize_corpus`] once and call
+/// [`run_pipeline_cached`] per spec.
 pub fn run_pipeline(corpus: &[Program], cfg: &PipelineConfig) -> (Dataset, Split, PipelineReport) {
     let tokenized = tokenize_corpus(corpus, cfg);
-    run_pipeline_with(corpus, &tokenized, cfg)
+    run_pipeline_cached(corpus, &tokenized, cfg, &SimCaches::new())
 }
 
 /// Run the hardware-dependent half of the pipeline — profile, label,
-/// prune, balance, split — against a pre-tokenized corpus.
+/// prune, balance, split — over a pre-tokenized corpus, against a shared
+/// profiler cache bundle. Bit-identical to [`run_pipeline`].
 ///
-/// Produces bit-identical output to [`run_pipeline`] with the same
-/// `corpus` and `cfg`.
+/// This is the sharded engine of
+/// [`run_pipeline_streamed`](crate::run_pipeline_streamed) over the
+/// borrowed corpus, one contiguous shard per rayon worker. Profiles are
+/// memoized per (kernel, launch, *routed* spec) and body summaries across
+/// specs, so a cross-hardware suite folds each kernel exactly once; the
+/// hazard audit comes from `tokenized`, computed on its first use.
 ///
 /// # Panics
 /// Panics when `tokenized` was built from a different corpus (length
 /// mismatch), or when `cfg.specs` holds a spec in the wrong class slot.
-pub fn run_pipeline_with(
-    corpus: &[Program],
-    tokenized: &TokenizedCorpus,
-    cfg: &PipelineConfig,
-) -> (Dataset, Split, PipelineReport) {
-    run_pipeline_impl(
-        corpus,
-        tokenized,
-        cfg,
-        RoutedProfilers {
-            gpu: Profiler::new(cfg.specs.gpu.clone()),
-            cpu: Profiler::new(cfg.specs.cpu.clone()),
-        },
-    )
-}
-
-/// [`run_pipeline_with`] against a shared profiler cache bundle.
-///
-/// Body summaries are hardware-independent, so a cross-hardware suite
-/// that runs this once per spec pair folds each kernel exactly once;
-/// profiles themselves are memoized per (kernel, launch, hardware) — the
-/// hardware key is the *routed* spec, so a CUDA profile taken on the GPU
-/// spec can never be served to an OMP lookup or vice versa. Bit-identical
-/// to the uncached pipeline.
 pub fn run_pipeline_cached(
     corpus: &[Program],
     tokenized: &TokenizedCorpus,
     cfg: &PipelineConfig,
     caches: &SimCaches,
 ) -> (Dataset, Split, PipelineReport) {
-    run_pipeline_impl(
-        corpus,
-        tokenized,
-        cfg,
-        RoutedProfilers {
-            gpu: Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone()),
-            cpu: Profiler::new(cfg.specs.cpu.clone()).with_caches(caches.clone()),
-        },
-    )
-}
-
-/// One profiler per machine class, selected by each program's language.
-pub(crate) struct RoutedProfilers {
-    pub(crate) gpu: Profiler,
-    pub(crate) cpu: Profiler,
-}
-
-impl RoutedProfilers {
-    pub(crate) fn for_language(&self, language: Language) -> &Profiler {
-        match language.spec_class() {
-            pce_roofline::SpecClass::Gpu => &self.gpu,
-            pce_roofline::SpecClass::Cpu => &self.cpu,
-        }
-    }
-}
-
-/// The lightweight per-program record the selection stages operate on.
-///
-/// Pruning, balancing, and splitting only need these fields — never the
-/// source text or the profile — which is what lets the sharded stream
-/// (`crate::stream`) run selection over the whole corpus while holding
-/// full [`Sample`]s for at most one shard at a time.
-#[derive(Debug, Clone)]
-pub(crate) struct SampleMeta {
-    /// Position in the input corpus (stream index).
-    pub(crate) index: usize,
-    /// Program id (the balance/split sort key).
-    pub(crate) id: String,
-    /// Source language.
-    pub(crate) language: Language,
-    /// Ground-truth label against the routed spec.
-    pub(crate) label: Boundedness,
-    /// BPE token count of the source.
-    pub(crate) token_count: usize,
-}
-
-/// Outcome of the prune → balance → split selection, as metadata: which
-/// corpus indices land in each split, in final (id-sorted) order, plus
-/// the funnel counts the report needs.
-pub(crate) struct Selection {
-    pub(crate) built: BTreeMap<String, usize>,
-    pub(crate) after_prune: BTreeMap<String, usize>,
-    pub(crate) combo_before_balance: BTreeMap<String, usize>,
-    pub(crate) per_combo: usize,
-    pub(crate) train: Vec<SampleMeta>,
-    pub(crate) validation: Vec<SampleMeta>,
-}
-
-/// Prune by token count, balance (language × class) cells, and split —
-/// entirely on metadata, in corpus order.
-///
-/// Both the materialized and the sharded pipeline call this exact
-/// function, which is what makes their outputs byte-identical: the
-/// seeded shuffle permutation depends only on each cell's length and the
-/// RNG stream, so shuffling metadata reproduces precisely the
-/// permutation the historical code applied to full samples.
-///
-/// # Panics
-/// Panics when two programs share an id — that means corpus generation
-/// broke its uniqueness invariant upstream.
-pub(crate) fn select_and_balance(mut metas: Vec<SampleMeta>, cfg: &PipelineConfig) -> Selection {
-    let count_lang = |metas: &[SampleMeta]| {
-        let mut m = BTreeMap::new();
-        for s in metas {
-            *m.entry(s.language.label().to_string()).or_insert(0) += 1;
-        }
-        m
-    };
-    let built = count_lang(&metas);
-
-    // --- Token-count pruning --------------------------------------------
-    metas.retain(|m| m.token_count <= cfg.max_tokens);
-    let after_prune = count_lang(&metas);
-
-    // --- First kernel per program ----------------------------------------
-    // Corpus programs carry exactly one profiled kernel (the first in the
-    // object dump); a duplicate id would mean the invariant broke upstream.
-    {
-        let mut ids: Vec<&str> = metas.iter().map(|m| m.id.as_str()).collect();
-        ids.sort_unstable();
-        let before = ids.len();
-        ids.dedup();
-        assert_eq!(ids.len(), before, "duplicate program ids in corpus");
-    }
-
-    // --- Balance (language × class) --------------------------------------
-    let mut by_combo: BTreeMap<(Language, Boundedness), Vec<SampleMeta>> = BTreeMap::new();
-    for m in metas {
-        by_combo.entry((m.language, m.label)).or_default().push(m);
-    }
-    let combo_before_balance = by_combo
-        .iter()
-        .map(|((lang, label), v)| (format!("{}/{}", lang.label(), label.short()), v.len()))
-        .collect();
-    let min_cell = by_combo.values().map(|v| v.len()).min().unwrap_or(0);
-    let per_combo = min_cell.min(cfg.per_combo_cap);
-
-    let mut rng = ChaCha8Rng::seed_from_u64(cfg.seed);
-    let mut train = Vec::with_capacity(per_combo * 4);
-    let mut validation = Vec::with_capacity(per_combo * 4);
-    for (_, mut cell) in by_combo {
-        cell.shuffle(&mut rng);
-        cell.truncate(per_combo);
-        // Split inside each cell so both splits stay balanced (§2.2: 68
-        // train + 17 validation per cell).
-        let train_n = (per_combo as f64 * cfg.train_fraction).round() as usize;
-        for (i, m) in cell.into_iter().enumerate() {
-            if i < train_n {
-                train.push(m);
-            } else {
-                validation.push(m);
-            }
-        }
-    }
-    // Deterministic final ordering.
-    train.sort_by(|a, b| a.id.cmp(&b.id));
-    validation.sort_by(|a, b| a.id.cmp(&b.id));
-    Selection {
-        built,
-        after_prune,
-        combo_before_balance,
-        per_combo,
-        train,
-        validation,
-    }
-}
-
-/// Merge two id-sorted sample slices into the balanced union: one bulk
-/// clone pass, no re-sort.
-pub(crate) fn merge_sorted(train: &[Sample], validation: &[Sample]) -> Vec<Sample> {
-    let mut balanced = Vec::with_capacity(train.len() + validation.len());
-    let (mut t, mut v) = (train.iter().peekable(), validation.iter().peekable());
-    loop {
-        let take_train = match (t.peek(), v.peek()) {
-            (Some(a), Some(b)) => a.id <= b.id,
-            (Some(_), None) => true,
-            (None, Some(_)) => false,
-            (None, None) => break,
-        };
-        let next = if take_train { t.next() } else { v.next() };
-        if let Some(s) = next {
-            balanced.push(s.clone());
-        }
-    }
-    balanced
-}
-
-/// Fingerprint of the profiling work one program induces: the (kernel
-/// IR, launch, routed hardware) tuple, folded with the same word-granular
-/// FNV the profile memo keys on. Two programs with equal fingerprints
-/// profile identically — the second one's profile is a memo hit.
-///
-/// Computed with a standalone [`Fnv`] accumulator, never through the
-/// [`SimCaches`] tables, so dedup accounting adds zero hit/miss traffic
-/// to the profile memo counters.
-/// Hazard counts of one source, aligned with
-/// [`pce_static_analysis::RuleId::all`] order. A pure function of the
-/// source text, so shards can compute it in parallel and the sequential
-/// merge stays byte-identical to the materialized path.
-pub(crate) fn hazard_counts(source: &str) -> Vec<u64> {
-    let diags = pce_static_analysis::diagnose(source);
-    pce_static_analysis::RuleId::all()
-        .iter()
-        .map(|r| diags.iter().filter(|d| d.rule == *r).count() as u64)
-        .collect()
-}
-
-/// Corpus-order hazard audit, deduped by source text: each *distinct*
-/// source contributes its per-rule diagnostic counts exactly once, so a
-/// variant-expanded corpus (many ids, few distinct sources) reports the
-/// hazards of its kernels, not of its multiplicity.
-pub(crate) struct HazardAudit {
-    seen: std::collections::HashSet<u64>,
-    counts: BTreeMap<String, u64>,
-}
-
-impl HazardAudit {
-    pub(crate) fn new() -> HazardAudit {
-        HazardAudit {
-            seen: std::collections::HashSet::new(),
-            counts: BTreeMap::new(),
-        }
-    }
-
-    /// The dedup key of one source text.
-    pub(crate) fn source_fp(source: &str) -> u64 {
-        let mut h = Fnv::new();
-        h.str(source);
-        h.finish()
-    }
-
-    /// Fold one program's precomputed [`hazard_counts`] under its source
-    /// fingerprint; repeat sources are no-ops.
-    pub(crate) fn observe_counts(&mut self, src_fp: u64, counts: &[u64]) {
-        if !self.seen.insert(src_fp) {
-            return;
-        }
-        for (rule, n) in pce_static_analysis::RuleId::all().iter().zip(counts) {
-            if *n > 0 {
-                *self.counts.entry(rule.id().to_string()).or_insert(0) += n;
-            }
-        }
-    }
-
-    /// Diagnose-and-fold one source in corpus order; repeat sources are
-    /// not re-diagnosed.
-    pub(crate) fn observe_source(&mut self, source: &str) {
-        let fp = HazardAudit::source_fp(source);
-        if self.seen.contains(&fp) {
-            return;
-        }
-        let counts = hazard_counts(source);
-        self.observe_counts(fp, &counts);
-    }
-
-    /// The per-rule totals (only rules that fired).
-    pub(crate) fn into_counts(self) -> BTreeMap<String, u64> {
-        self.counts
-    }
-}
-
-pub(crate) fn profile_fingerprint(p: &Program, hw_name: &str) -> u64 {
-    let mut h = Fnv::new();
-    h.u64(p.ir.fingerprint());
-    h.map_u64(&p.launch.params);
-    for d in [p.launch.grid, p.launch.block] {
-        h.u64(d.x as u64);
-        h.u64(d.y as u64);
-        h.u64(d.z as u64);
-    }
-    h.u64(p.launch.regs_per_thread as u64);
-    h.u64(p.launch.shared_bytes_per_block as u64);
-    h.str(hw_name);
-    h.finish()
-}
-
-fn run_pipeline_impl(
-    corpus: &[Program],
-    tokenized: &TokenizedCorpus,
-    cfg: &PipelineConfig,
-    profilers: RoutedProfilers,
-) -> (Dataset, Split, PipelineReport) {
     assert_eq!(
         tokenized.token_counts.len(),
         corpus.len(),
         "tokenized corpus does not match the program corpus"
     );
-    assert!(
-        cfg.specs.validate().is_empty(),
-        "invalid spec pair: {:?}",
-        cfg.specs.validate()
-    );
-    let token_counts = &tokenized.token_counts;
-    let raw_token_stats = tokenized.raw_token_stats;
-
-    // --- Profile + label (parallel) --------------------------------------
-    let samples: Vec<Sample> = corpus
-        .par_iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let profiler = profilers.for_language(p.language);
-            let hw = profiler.hardware();
-            let profile = profiler.profile_shared(&p.ir, &p.launch);
-            let label = classify_joint(hw, &profile.counts).label;
-            Sample {
-                id: p.id.clone(),
-                family: p.family.clone(),
-                language: p.language,
-                kernel_name: p.kernel_name.clone(),
-                source: p.source.clone(),
-                geometry: p.launch.geometry_string(),
-                args: p.args.clone(),
-                token_count: token_counts[i],
-                spec_name: hw.name.clone(),
-                spec_class: hw.class,
-                counts: profile.counts,
-                runtime_s: profile.runtime_s,
-                label,
-            }
-        })
-        .collect();
-    let corpus_labels: Vec<Boundedness> = samples.iter().map(|s| s.label).collect();
-
-    // --- Profile-dedup accounting (sequential, corpus order) -------------
-    // Standalone Fnv fold: adds no traffic to the SimCaches counters and
-    // is independent of thread count and sharding.
-    let mut dedup = StreamDedup::new();
-    let mut hazards = HazardAudit::new();
-    for p in corpus {
-        let hw = profilers.for_language(p.language).hardware();
-        dedup.observe(profile_fingerprint(p, &hw.name));
-        hazards.observe_source(&p.source);
-    }
-
-    // --- Prune → balance → split (shared with the sharded stream) --------
-    let metas = samples
-        .iter()
-        .enumerate()
-        .map(|(i, s)| SampleMeta {
-            index: i,
-            id: s.id.clone(),
-            language: s.language,
-            label: s.label,
-            token_count: s.token_count,
-        })
-        .collect();
-    let selection = select_and_balance(metas, cfg);
-    let materialize = |metas: &[SampleMeta]| -> Vec<Sample> {
-        metas.iter().map(|m| samples[m.index].clone()).collect()
-    };
-    let train = materialize(&selection.train);
-    let validation = materialize(&selection.validation);
-    let balanced = merge_sorted(&train, &validation);
-
-    let report = PipelineReport {
-        built: selection.built,
-        raw_token_stats,
-        after_prune: selection.after_prune,
-        corpus_labels,
-        combo_before_balance: selection.combo_before_balance,
-        per_combo: selection.per_combo,
-        final_size: balanced.len(),
-        train_size: train.len(),
-        validation_size: validation.len(),
-        dedup: dedup.stats(),
-        hazards: hazards.into_counts(),
-    };
-    (
-        Dataset { samples: balanced },
-        Split {
-            train: Dataset { samples: train },
-            validation: Dataset {
-                samples: validation,
-            },
-        },
-        report,
+    let shard_size = corpus.len().div_ceil(rayon::current_num_threads());
+    engine::run(
+        Input::Corpus(corpus, tokenized),
+        cfg,
+        caches,
+        shard_size,
+        &mut |_, _| {},
     )
+    .expect("a borrowed corpus fails only on an invalid spec pair")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pce_kernels::{build_corpus, CorpusConfig};
+    use pce_gpu_sim::Profiler;
+    use pce_kernels::{build_corpus, CorpusConfig, Language};
+    use pce_roofline::classify_joint;
 
     fn small_corpus() -> Vec<Program> {
         build_corpus(&CorpusConfig {
@@ -655,7 +327,7 @@ mod tests {
         let c = cfg();
         let tokenized = tokenize_corpus(&corpus, &c);
         let (a, sa, ra) = run_pipeline(&corpus, &c);
-        let (b, sb, rb) = run_pipeline_with(&corpus, &tokenized, &c);
+        let (b, sb, rb) = run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
         assert_eq!(a, b);
         assert_eq!(sa, sb);
         assert_eq!(ra, rb);
@@ -670,7 +342,7 @@ mod tests {
         let mut other = c.clone();
         other.specs.gpu = pce_roofline::HardwareSpec::a100();
         for cfg in [&c, &other] {
-            let cold = run_pipeline_with(&corpus, &tokenized, cfg);
+            let cold = run_pipeline(&corpus, cfg);
             let warm = run_pipeline_cached(&corpus, &tokenized, cfg, &caches);
             assert_eq!(cold, warm, "{}", cfg.specs.label());
         }
@@ -724,7 +396,48 @@ mod tests {
         let c = cfg();
         let mut tokenized = tokenize_corpus(&corpus, &c);
         tokenized.token_counts.pop();
-        run_pipeline_with(&corpus, &tokenized, &c);
+        run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid spec pair")]
+    fn misclassed_spec_pair_is_rejected() {
+        let corpus = small_corpus();
+        let mut c = cfg();
+        c.specs.cpu = c.specs.gpu.clone();
+        let tokenized = tokenize_corpus(&corpus, &c);
+        run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
+    }
+
+    #[test]
+    fn hazard_audit_runs_once_per_tokenized_corpus() {
+        let corpus = small_corpus();
+        let c = cfg();
+        let tokenized = tokenize_corpus(&corpus, &c);
+        // Tokenizing stays audit-free; the first pipeline call audits.
+        assert!(tokenized.hazards.get().is_none());
+        let (_, _, first) = run_pipeline_cached(&corpus, &tokenized, &c, &SimCaches::new());
+        let audited: *const BTreeMap<String, u64> = tokenized.hazards.get().expect("audited");
+        // Every later call, on any spec pair, reuses that one audit.
+        let mut other = c.clone();
+        other.specs.gpu = pce_roofline::HardwareSpec::a100();
+        for cfg in [&c, &other] {
+            let (_, _, report) = run_pipeline_cached(&corpus, &tokenized, cfg, &SimCaches::new());
+            assert_eq!(report.hazards, first.hazards);
+            assert!(std::ptr::eq(audited, tokenized.hazards(&corpus)));
+        }
+        // It equals diagnosing each distinct source by hand.
+        let mut distinct: Vec<&str> = corpus.iter().map(|p| p.source.as_str()).collect();
+        distinct.sort_unstable();
+        distinct.dedup();
+        let mut expected: BTreeMap<String, u64> = BTreeMap::new();
+        for d in distinct
+            .iter()
+            .flat_map(|s| pce_static_analysis::diagnose(s))
+        {
+            *expected.entry(d.rule.id().to_string()).or_insert(0) += 1;
+        }
+        assert_eq!(first.hazards, expected);
     }
 
     #[test]

@@ -1,52 +1,42 @@
 //! The sharded, bounded-memory streaming pipeline.
 //!
-//! [`run_pipeline_streamed`] runs the same corpus → tokenize → profile →
-//! label → balance funnel as [`run_pipeline`](crate::run_pipeline), but
-//! never materializes the corpus: programs are regenerated per shard from
-//! a [`CorpusSpec`] (generation is random-access — any index rebuilds
-//! from the seed alone), consumed, and dropped. Peak memory is
-//! `O(shard_size × rayon threads)` programs plus the final dataset,
-//! instead of `O(corpus)` samples.
+//! [`run_pipeline_streamed`] runs the same engine as
+//! [`run_pipeline_cached`](crate::run_pipeline_cached), but never
+//! materializes the corpus: programs are regenerated per shard from a
+//! [`CorpusSpec`] (generation is random-access — any index rebuilds from
+//! the seed alone), consumed, and dropped. Peak memory is
+//! `O(shard_size × rayon threads)` programs plus one small row per
+//! program and the final dataset, instead of `O(corpus)` samples.
 //!
 //! Stages:
 //!
-//! 1. **tokenize-train** — stream every `tokenizer_stride`-th source and
-//!    train the BPE tokenizer (the only stage whose footprint scales with
-//!    `corpus / stride`, same subsample as the materialized path).
-//! 2. **shard-profile** — rayon over shards: regenerate the shard's
-//!    programs, batch-count tokens, profile + label each against the
-//!    language-routed spec through the shared [`SimCaches`] memos, and
-//!    keep only lightweight [`SampleMeta`]s plus profile fingerprints.
-//!    Variant expansion makes many programs map to an identical
-//!    (IR, launch, hardware) tuple — those profile as memo hits, and the
-//!    fingerprints are folded (sequentially, in corpus order, so the
-//!    numbers are independent of sharding and thread count) into the
-//!    report's dedup statistics.
-//! 3. **select-balance** — the exact `select_and_balance` the
-//!    materialized path uses, on metadata only.
+//! 1. **tokenize-train** — train the BPE tokenizer on every
+//!    `tokenizer_stride`-th source, the subsample
+//!    [`tokenize_corpus`](crate::tokenize_corpus) trains on.
+//! 2. **shard-profile** — per shard (rayon): regenerate the programs,
+//!    batch-count their tokens, profile and label each through the shared
+//!    [`SimCaches`] (variants with an identical (IR, launch, hardware)
+//!    tuple are memo hits), and audit the shard's distinct sources for
+//!    hazards; then fold the rows in corpus order into labels, dedup
+//!    statistics and the hazard audit.
+//! 3. **select-balance** — prune, balance and split the rows.
 //! 4. **materialize** — regenerate just the selected programs and build
-//!    full [`Sample`]s (their profiles are now warm memo hits).
+//!    their [`Sample`](crate::Sample)s from the rows, without profiling.
 //!
-//! Output is byte-identical to running the materialized pipeline over
+//! Output is byte-identical to the eager pipeline over
 //! `spec.stream().collect()`, for every shard size and
 //! `RAYON_NUM_THREADS` — pinned by the root `pipeline_stream` test.
 
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 use std::time::Instant;
 
 use pce_fault::PceError;
-use pce_gpu_sim::{Profiler, SimCaches};
+use pce_gpu_sim::SimCaches;
 use pce_kernels::CorpusSpec;
-use pce_memo::StreamDedup;
-use pce_roofline::classify_joint;
-use pce_tokenizer::{token_quartiles, BpeTrainer, Tokenizer};
+use pce_tokenizer::{BpeTrainer, Tokenizer};
 
-use crate::pipeline::{
-    hazard_counts, merge_sorted, profile_fingerprint, select_and_balance, Dataset, HazardAudit,
-    PipelineConfig, PipelineReport, RoutedProfilers, SampleMeta, Split,
-};
-use crate::sample::Sample;
+use crate::engine::{self, Input};
+use crate::pipeline::{Dataset, PipelineConfig, PipelineReport, Split};
 
 /// Wall-clock of one streamed-pipeline stage, for the bench baseline.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -94,168 +84,37 @@ pub fn run_pipeline_streamed_timed(
     caches: &SimCaches,
     shard_size: usize,
 ) -> Result<(Dataset, Split, PipelineReport, Vec<StageTiming>), PceError> {
-    let spec_errors = cfg.specs.validate();
-    if !spec_errors.is_empty() {
-        return Err(PceError::spec(format!(
-            "invalid spec pair: {spec_errors:?}"
-        )));
-    }
-    let shard_size = shard_size.max(1);
-    let total = spec.len();
+    engine::check_specs(&cfg.specs)?;
     let mut timings = Vec::with_capacity(4);
 
     // --- Stage 1: tokenizer training (stride subsample, streamed) --------
     let t = Instant::now();
     let stride = cfg.tokenizer_stride.max(1);
-    let mut training_docs = Vec::with_capacity(total.div_ceil(stride));
-    let mut k = 0;
-    while k < total {
-        training_docs.push(spec.program(k)?.source);
-        k += stride;
-    }
+    let training_docs = (0..spec.len())
+        .step_by(stride)
+        .map(|k| spec.program(k).map(|p| p.source))
+        .collect::<Result<Vec<String>, PceError>>()?;
     let vocab =
         BpeTrainer::new(cfg.tokenizer_vocab).train(training_docs.iter().map(|s| s.as_str()));
     let tokenizer = Tokenizer::new(vocab);
     drop(training_docs);
     timings.push(StageTiming::new("tokenize-train", t.elapsed()));
 
-    // --- Stage 2: per-shard profile + label + token count -----------------
-    let t = Instant::now();
-    let profilers = RoutedProfilers {
-        gpu: Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone()),
-        cpu: Profiler::new(cfg.specs.cpu.clone()).with_caches(caches.clone()),
-    };
-    let bounds: Vec<(usize, usize)> = (0..total)
-        .step_by(shard_size)
-        .map(|s| (s, (s + shard_size).min(total)))
-        .collect();
-    type ShardRow = (SampleMeta, u64, u64, Vec<u64>);
-    let shards: Vec<Result<Vec<ShardRow>, PceError>> = bounds
-        .par_iter()
-        .map(|&(start, end)| {
-            // The whole shard lives here and is dropped on return: only
-            // the metas survive.
-            let programs = spec
-                .stream_range(start, end)
-                .collect::<Result<Vec<_>, PceError>>()?;
-            let sources: Vec<&str> = programs.iter().map(|p| p.source.as_str()).collect();
-            let counts = tokenizer.count_batch(&sources);
-            let mut out = Vec::with_capacity(programs.len());
-            for (off, p) in programs.iter().enumerate() {
-                let profiler = profilers.for_language(p.language);
-                let hw = profiler.hardware();
-                let profile = profiler.profile_shared(&p.ir, &p.launch);
-                let label = classify_joint(hw, &profile.counts).label;
-                out.push((
-                    SampleMeta {
-                        index: start + off,
-                        id: p.id.clone(),
-                        language: p.language,
-                        label,
-                        token_count: counts[off],
-                    },
-                    profile_fingerprint(p, &hw.name),
-                    // Hazard audit inputs: a pure function of the source,
-                    // so computing them here (parallel, pre-drop) and
-                    // folding them sequentially below reproduces the
-                    // materialized path's corpus-order audit exactly.
-                    HazardAudit::source_fp(&p.source),
-                    hazard_counts(&p.source),
-                ));
-            }
-            Ok(out)
-        })
-        .collect();
-    // Deterministic merge: shard order is corpus order, and the dedup fold
-    // runs sequentially over it, so the stats are independent of sharding
-    // and thread count.
-    let mut metas = Vec::with_capacity(total);
-    let mut dedup = StreamDedup::new();
-    let mut hazards = HazardAudit::new();
-    let mut corpus_labels = Vec::with_capacity(total);
-    let mut token_counts = Vec::with_capacity(total);
-    for shard in shards {
-        for (meta, fp, src_fp, diag_counts) in shard? {
-            dedup.observe(fp);
-            hazards.observe_counts(src_fp, &diag_counts);
-            corpus_labels.push(meta.label);
-            token_counts.push(meta.token_count);
-            metas.push(meta);
-        }
-    }
-    let raw_token_stats = (!token_counts.is_empty()).then(|| token_quartiles(&token_counts));
-    drop(token_counts);
-    timings.push(StageTiming::new("shard-profile", t.elapsed()));
-
-    // --- Stage 3: prune → balance → split (shared with materialized) -----
-    let t = Instant::now();
-    let selection = select_and_balance(metas, cfg);
-    timings.push(StageTiming::new("select-balance", t.elapsed()));
-
-    // --- Stage 4: materialize only the selected samples -------------------
-    let t = Instant::now();
-    let materialize = |chosen: &[SampleMeta]| -> Result<Vec<Sample>, PceError> {
-        let rows: Vec<Result<Sample, PceError>> = chosen
-            .par_iter()
-            .map(|m| {
-                let p = spec.program(m.index)?;
-                let profiler = profilers.for_language(p.language);
-                let hw = profiler.hardware();
-                let profile = profiler.profile_shared(&p.ir, &p.launch);
-                Ok(Sample {
-                    id: p.id,
-                    family: p.family,
-                    language: p.language,
-                    kernel_name: p.kernel_name,
-                    geometry: p.launch.geometry_string(),
-                    source: p.source,
-                    args: p.args,
-                    token_count: m.token_count,
-                    spec_name: hw.name.clone(),
-                    spec_class: hw.class,
-                    counts: profile.counts,
-                    runtime_s: profile.runtime_s,
-                    label: m.label,
-                })
-            })
-            .collect();
-        rows.into_iter().collect()
-    };
-    let train = materialize(&selection.train)?;
-    let validation = materialize(&selection.validation)?;
-    let balanced = merge_sorted(&train, &validation);
-    timings.push(StageTiming::new("materialize", t.elapsed()));
-
-    let report = PipelineReport {
-        built: selection.built,
-        raw_token_stats,
-        after_prune: selection.after_prune,
-        corpus_labels,
-        combo_before_balance: selection.combo_before_balance,
-        per_combo: selection.per_combo,
-        final_size: balanced.len(),
-        train_size: train.len(),
-        validation_size: validation.len(),
-        dedup: dedup.stats(),
-        hazards: hazards.into_counts(),
-    };
-    Ok((
-        Dataset { samples: balanced },
-        Split {
-            train: Dataset { samples: train },
-            validation: Dataset {
-                samples: validation,
-            },
-        },
-        report,
-        timings,
-    ))
+    // --- Stages 2-4: the sharded engine ----------------------------------
+    let (dataset, split, report) = engine::run(
+        Input::Spec(spec, &tokenizer),
+        cfg,
+        caches,
+        shard_size,
+        &mut |stage, t| timings.push(StageTiming::new(stage, t.elapsed())),
+    )?;
+    Ok((dataset, split, report, timings))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::run_pipeline_cached;
+    use crate::pipeline::{run_pipeline_cached, tokenize_corpus};
     use pce_kernels::{CorpusConfig, VariantAxes};
 
     fn small_spec(axes: VariantAxes) -> CorpusSpec {
@@ -294,7 +153,7 @@ mod tests {
                 .collect::<Result<_, _>>()
                 .expect("corpus builds");
             let c = cfg();
-            let tokenized = crate::pipeline::tokenize_corpus(&corpus, &c);
+            let tokenized = tokenize_corpus(&corpus, &c);
             let eager_caches = SimCaches::new();
             let eager = run_pipeline_cached(&corpus, &tokenized, &c, &eager_caches);
             for shard_size in [1, 17, 1_000_000] {

@@ -381,22 +381,6 @@ impl KernelIr {
         h.f64(self.active_fraction);
         h.finish()
     }
-
-    /// Static (source-apparent) op totals for a launch: what a perfect
-    /// reader of the code would count, before any cache effects.
-    pub fn static_op_estimate(
-        &self,
-        params: &BTreeMap<String, u64>,
-        total_threads: u64,
-    ) -> (f64, f64, f64) {
-        let s = self.summarize(params);
-        let t = total_threads as f64;
-        (
-            s.costs.flops_sp * t,
-            s.costs.flops_dp * t,
-            s.costs.intops * t,
-        )
-    }
 }
 
 fn hash_extent(e: &Extent, h: &mut Fnv) {
@@ -840,14 +824,5 @@ mod tests {
             .buffer("bc", 4, Extent::Const(1))
             .build();
         assert_ne!(a.fingerprint(), b.fingerprint());
-    }
-
-    #[test]
-    fn static_op_estimate_scales_by_threads() {
-        let k = saxpy();
-        let (sp, dp, int) = k.static_op_estimate(&params(1024), 1000);
-        assert_eq!(sp, 2000.0);
-        assert_eq!(dp, 0.0);
-        assert_eq!(int, 3000.0);
     }
 }

@@ -19,8 +19,8 @@
 //!   (`max(compute, memory) + launch overhead`, scaled by occupancy and
 //!   divergence efficiency),
 //! * [`profiler`] — the nvprof-like front end producing
-//!   [`KernelProfile`](profiler::KernelProfile)s, with a rayon-parallel
-//!   batch API.
+//!   [`KernelProfile`](profiler::KernelProfile)s, memoized through a
+//!   shared [`SimCaches`](cache::SimCaches) bundle when one is attached.
 //!
 //! Everything is pure arithmetic over the IR: the same (kernel, launch,
 //! hardware) triple always produces bit-identical profiles, which keeps the

@@ -92,11 +92,6 @@ impl SurrogateEngine {
         &self.caches
     }
 
-    /// The attached chaos plan, if any.
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Complete a request.
     ///
     /// Fails with [`PceError::Spec`] when the requested model is not in
@@ -497,18 +492,9 @@ impl SurrogateEngine {
 /// ablation uses to sweep synthetic specs without registering them in the
 /// zoo; it shares the exact answer path with [`SurrogateEngine::complete`].
 ///
-/// Builds a throwaway engine per call. Bulk sweeps should create one
-/// engine and call [`complete_with_spec_on`] so parses and analyses are
-/// cached across the sweep instead of re-deriving (and re-allocating) per
-/// completion.
-pub fn complete_with_spec(spec: &ModelSpec, prompt: &str, seed: u64) -> String {
-    complete_with_spec_on(&SurrogateEngine::new(), spec, prompt, seed)
-}
-
-/// [`complete_with_spec`] against an existing engine: the engine's parse
-/// and analysis caches serve the unregistered spec exactly as they serve
-/// zoo models (nothing is billed — the answer path never touches the
-/// meter). Bit-identical to the throwaway-engine variant.
+/// The engine's parse and analysis caches serve the unregistered spec
+/// exactly as they serve zoo models, so a sweep reuses one engine
+/// (nothing is billed — the answer path never touches the meter).
 pub fn complete_with_spec_on(
     engine: &SurrogateEngine,
     spec: &ModelSpec,

@@ -1,7 +1,8 @@
-//! Streamed-pipeline identity tests: the sharded, bounded-memory
-//! pipeline must render byte-identically to the materialize-everything
-//! path for *any* shard size and *any* rayon thread count, and
-//! re-streaming the same spec must profile zero new kernels.
+//! Pipeline identity tests: the streamed, bounded-memory pipeline must
+//! render byte-identically to the eager pipeline over the materialized
+//! corpus for *any* shard size and *any* rayon thread count, the eager
+//! pipeline (sharded by worker count) must do the same across thread
+//! counts, and re-streaming the same spec must profile zero new kernels.
 //!
 //! The vendored rayon re-reads `RAYON_NUM_THREADS` on every parallel
 //! call, which lets the identity test toggle thread budgets in-process.
@@ -66,6 +67,15 @@ fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
             rayon::current_num_threads(),
             threads.parse::<usize>().expect("thread count parses"),
             "vendored rayon must honor RAYON_NUM_THREADS"
+        );
+        // The eager path shards by worker count, so pin it here too.
+        let tokenized = tokenize_corpus(&corpus, &study.pipeline);
+        let (dataset, split, report) =
+            run_pipeline_cached(&corpus, &tokenized, &study.pipeline, &SimCaches::default());
+        assert_eq!(
+            golden,
+            render(&dataset, &split, &report),
+            "eager output diverged at threads={threads}"
         );
         for shard_size in [1, 37, 256, usize::MAX] {
             let caches = SimCaches::default();

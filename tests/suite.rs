@@ -4,8 +4,9 @@
 //! cell), and each language's hardware axis must actually flip its own
 //! kernels' labels.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::study::StudyData;
-use parallel_code_estimation::core::suite::{run_suite_shared, SharedBuild, Suite};
+use parallel_code_estimation::core::suite::{run_suite_shared_cached, SharedBuild, Suite};
 use parallel_code_estimation::core::table1::build_table1;
 use parallel_code_estimation::kernels::Language;
 use parallel_code_estimation::roofline::{Boundedness, HardwareSpec};
@@ -30,8 +31,8 @@ fn small_suite() -> Suite {
 #[test]
 fn shared_build_is_equivalent_to_independent_rebuilds() {
     let suite = small_suite();
-    let shared = SharedBuild::build(&suite).expect("shared build");
-    let outcome = run_suite_shared(&suite, &shared).unwrap();
+    let shared = SharedBuild::build_cached(&suite, &SuiteCaches::new()).expect("shared build");
+    let outcome = run_suite_shared_cached(&suite, &shared, &SuiteCaches::new()).unwrap();
     assert_eq!(outcome.completed().len(), suite.cells().len());
 
     for (pair, spec_out) in suite.cells().iter().zip(outcome.completed()) {
@@ -55,8 +56,8 @@ fn shared_build_is_equivalent_to_independent_rebuilds() {
 #[test]
 fn corpus_and_tokenizer_are_built_once_and_shared() {
     let suite = small_suite();
-    let shared = SharedBuild::build(&suite).expect("shared build");
-    let outcome = run_suite_shared(&suite, &shared).unwrap();
+    let shared = SharedBuild::build_cached(&suite, &SuiteCaches::new()).expect("shared build");
+    let outcome = run_suite_shared_cached(&suite, &shared, &SuiteCaches::new()).unwrap();
 
     // Every cell's funnel must carry the *shared* tokenization verbatim —
     // the raw token distribution comes straight from `shared.tokenized`,
@@ -85,8 +86,8 @@ fn corpus_and_tokenizer_are_built_once_and_shared() {
 #[test]
 fn each_language_flips_along_its_own_axis() {
     let suite = small_suite();
-    let outcome =
-        run_suite_shared(&suite, &SharedBuild::build(&suite).expect("shared build")).unwrap();
+    let shared = SharedBuild::build_cached(&suite, &SuiteCaches::new()).expect("shared build");
+    let outcome = run_suite_shared_cached(&suite, &shared, &SuiteCaches::new()).unwrap();
     let flips = &outcome.flips;
 
     for section in &flips.by_language {
@@ -125,13 +126,7 @@ fn each_language_flips_along_its_own_axis() {
     // The two sections partition the corpus.
     let cuda = flips.language(Language::Cuda).unwrap();
     let omp = flips.language(Language::Omp).unwrap();
-    assert_eq!(
-        cuda.kernels.len() + omp.kernels.len(),
-        SharedBuild::build(&suite)
-            .expect("shared build")
-            .corpus
-            .len()
-    );
+    assert_eq!(cuda.kernels.len() + omp.kernels.len(), shared.corpus.len());
 }
 
 #[test]
