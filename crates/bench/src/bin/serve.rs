@@ -32,11 +32,8 @@
 //!
 //! Overload safety: `--queue-depth <n>` bounds the admission queue (jobs
 //! arriving on a busy, full queue are shed with `err ... shed=queue`),
-//! `--default-deadline-ms <n>` applies a deadline to jobs without their
-//! own `deadline_ms=`, `--cost-ms <n>` sets the virtual per-job service
-//! cost the deadline/queue model runs on, and `--breaker-threshold <n>`
-//! sets how many consecutive invalid/refused responses open a model's
-//! circuit breaker. Responses carry no timing, so transcripts are
+//! and `--default-deadline-ms <n>` applies a deadline to jobs without
+//! their own `deadline_ms=`. Responses carry no timing, so transcripts are
 //! byte-reproducible across batch sizes, thread counts, and cache bounds.
 
 use std::io::{BufReader, Write};
@@ -93,7 +90,6 @@ fn main() {
     };
     let batch = usize_flag(&args, "--batch", 32);
     let budget = budget_from_args(&args);
-    let defaults = ServeConfig::default();
     let config = ServeConfig {
         batch,
         queue_depth: flag_value(&args, "--queue-depth").map(|v| match v.parse::<usize>() {
@@ -112,13 +108,6 @@ fn main() {
                 }
             }
         }),
-        cost_ms_per_job: usize_flag(&args, "--cost-ms", defaults.cost_ms_per_job as usize) as u64,
-        breaker_threshold: usize_flag(
-            &args,
-            "--breaker-threshold",
-            defaults.breaker_threshold as usize,
-        ) as u32,
-        ..defaults
     };
     let service = Arc::new(PredictionService::new(study, budget).expect("service builds"));
     eprintln!(

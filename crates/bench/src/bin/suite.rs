@@ -89,7 +89,7 @@ fn main() {
 
     let timings = timings_path_from_args(&args);
     let run = match &timings {
-        None => run_suite(&suite),
+        None => run_suite(&suite, &SuiteCaches::new()),
         Some(path) => run_suite_timed(&suite, &SuiteCaches::new()).map(|(outcome, bench)| {
             match serde_json::to_string_pretty(&bench) {
                 Ok(json) => {

@@ -23,31 +23,15 @@ use std::sync::Arc;
 
 use serde::{Deserialize, Serialize};
 
-use pce_gpu_sim::{SimBudget, SimCaches};
-use pce_llm::{LlmBudget, LlmCaches};
-use pce_memo::CacheCounters;
+use pce_gpu_sim::SimCaches;
+use pce_llm::LlmCaches;
+use pce_memo::{CacheCounters, LayerBudget};
 
-/// Byte budgets for every memo layer a suite (or service) threads its
-/// caches through. The default is fully unbounded — one-shot batch runs
-/// cannot leak; long-lived services should bound everything (see
-/// [`CacheBudget::uniform`]).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct CacheBudget {
-    /// Simulator layers (body summaries, profiles).
-    pub sim: SimBudget,
-    /// Engine layers (static analyses, prompt parses).
-    pub llm: LlmBudget,
-}
-
-impl CacheBudget {
-    /// Bound every layer to the same per-cache capacity in bytes.
-    pub fn uniform(bytes_per_cache: u64) -> CacheBudget {
-        CacheBudget {
-            sim: SimBudget::uniform(bytes_per_cache),
-            llm: LlmBudget::uniform(bytes_per_cache),
-        }
-    }
-}
+/// Byte budget for every memo layer a suite (or service) threads its
+/// caches through, each bounded to the same capacity. The default is
+/// fully unbounded — one-shot batch runs cannot leak; long-lived services
+/// should bound everything (see [`LayerBudget::uniform`]).
+pub type CacheBudget = LayerBudget;
 
 /// The shared cache bundle one suite run (or several) threads through
 /// every layer.
@@ -72,8 +56,8 @@ impl SuiteCaches {
     /// resident-byte counters differ.
     pub fn with_budget(budget: CacheBudget) -> SuiteCaches {
         SuiteCaches {
-            sim: SimCaches::with_budget(budget.sim),
-            llm: LlmCaches::with_budget(budget.llm),
+            sim: SimCaches::with_budget(budget),
+            llm: LlmCaches::with_budget(budget),
             prompt_renders: Arc::new(AtomicU64::new(0)),
         }
     }

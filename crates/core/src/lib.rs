@@ -45,6 +45,4 @@ pub mod table1;
 pub use caches::{CacheBudget, CacheReport, SuiteCaches};
 pub use serve::{Command, Job, PredictionService};
 pub use study::{ChaosConfig, Study, StudyData};
-pub use suite::{
-    run_suite, run_suite_cached, run_suite_timed, CellOutcome, Suite, SuiteBench, SuiteOutcome,
-};
+pub use suite::{run_suite, run_suite_timed, CellOutcome, Suite, SuiteBench, SuiteOutcome};

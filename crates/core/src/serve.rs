@@ -54,16 +54,20 @@
 //!
 //! Time inside a session is *virtual*: the clock (`vnow`, in virtual
 //! milliseconds) advances only on wire-chaos stalls, and each dispatched
-//! job advances a `busy_until` horizon by [`ServeConfig::cost_ms_per_job`].
-//! Nothing ever sleeps. On that clock the server enforces, in order:
+//! job advances a `busy_until` horizon by a fixed 2 ms. Nothing ever
+//! sleeps. One rule decides when queued jobs dispatch: a batch is due
+//! once `min(batch, queue_depth)` jobs are queued (`batch` alone for an
+//! unbounded queue) and, for a bounded queue, the server is idle
+//! (`vnow >= busy_until`). The queue is checked before each admission
+//! and after each queued job. On that clock the server enforces, in
+//! order:
 //!
 //! 1. **Drain** — after a `drain` command (or EOF / disconnect) admission
 //!    stops; late jobs are shed with `shed=drain`.
-//! 2. **Circuit breaker** — per model, [`ServeConfig::breaker_threshold`]
-//!    consecutive invalid/refused responses open the breaker; while open,
-//!    a seeded half-open probe (rate [`ServeConfig::breaker_probe_rate`])
-//!    admits the occasional job, and a probe success closes it. Shed jobs
-//!    answer `shed=breaker` and count in `breaker_open`.
+//! 2. **Circuit breaker** — per model, 4 consecutive invalid/refused
+//!    responses open the breaker; while open, a seeded half-open probe
+//!    (rate 0.25) admits the occasional job, and a probe success closes
+//!    it. Shed jobs answer `shed=breaker` and count in `breaker_open`.
 //! 3. **Bounded queue** — with [`ServeConfig::queue_depth`] set, a job
 //!    arriving while the server is busy (`vnow < busy_until`) and the
 //!    queue is full is shed with `shed=queue` instead of queuing forever.
@@ -378,18 +382,31 @@ impl Command {
     }
 }
 
-/// Collapse a (possibly multi-line) error display into one protocol-safe
-/// line: responses are one line each, but some error sources (the
-/// hardware-preset catalog listing, for one) render across many.
-fn one_line(msg: impl std::fmt::Display) -> String {
-    msg.to_string().replace('\n', "; ").replace('"', "'")
+/// One `err` response line. The message is collapsed onto one
+/// protocol-safe line: responses are one line each, but some error
+/// sources (the hardware-preset catalog listing, for one) render across
+/// many.
+fn err_line(id: &str, kind: &str, msg: impl std::fmt::Display) -> String {
+    let msg = msg.to_string().replace('\n', "; ").replace('"', "'");
+    format!("err id={id} kind={kind} error=\"{msg}\"")
 }
 
-/// Serving-side knobs for one [`PredictionService::serve_session`].
+/// Virtual service cost per dispatched job, in milliseconds: the unit
+/// the `busy_until` horizon advances by.
+const COST_MS_PER_JOB: u64 = 2;
+
+/// Consecutive invalid/refused responses that open a model's circuit
+/// breaker.
+const BREAKER_THRESHOLD: u32 = 4;
+
+/// Probability an open breaker admits a half-open probe, drawn
+/// deterministically from the study seed.
+const BREAKER_PROBE_RATE: f64 = 0.25;
+
+/// Serving-side settings for one [`PredictionService::serve_session`].
 ///
-/// The default configuration — unbounded queue, no deadline, breaker
-/// that only trips under chaos — reproduces the historical protocol
-/// behavior byte-for-byte.
+/// The default configuration — unbounded queue, no deadline — reproduces
+/// the historical protocol behavior byte-for-byte.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ServeConfig {
     /// Admission batch size (jobs grouped per dispatch).
@@ -401,27 +418,11 @@ pub struct ServeConfig {
     /// Deadline applied to jobs that carry no `deadline_ms=` of their
     /// own, in virtual milliseconds.
     pub default_deadline_ms: Option<u64>,
-    /// Virtual service cost per dispatched job, in milliseconds — the
-    /// unit the `busy_until` horizon advances by.
-    pub cost_ms_per_job: u64,
-    /// Consecutive invalid/refused responses that open a model's
-    /// circuit breaker.
-    pub breaker_threshold: u32,
-    /// Probability an open breaker admits a half-open probe, drawn
-    /// deterministically from the study seed.
-    pub breaker_probe_rate: f64,
 }
 
 impl Default for ServeConfig {
     fn default() -> ServeConfig {
-        ServeConfig {
-            batch: 8,
-            queue_depth: None,
-            default_deadline_ms: None,
-            cost_ms_per_job: 2,
-            breaker_threshold: 4,
-            breaker_probe_rate: 0.25,
-        }
+        ServeConfig::classic(8)
     }
 }
 
@@ -431,7 +432,8 @@ impl ServeConfig {
     pub fn classic(batch: usize) -> ServeConfig {
         ServeConfig {
             batch,
-            ..ServeConfig::default()
+            queue_depth: None,
+            default_deadline_ms: None,
         }
     }
 }
@@ -743,27 +745,6 @@ impl PredictionService {
         Ok((prog, spec))
     }
 
-    /// Account one shed job (never dispatched).
-    fn account_shed(&self, model: &str, breaker: bool) {
-        if let Ok(mut map) = self.ledgers.lock() {
-            let l = map.entry(model.to_string()).or_default();
-            l.admitted += 1;
-            l.shed += 1;
-            if breaker {
-                l.breaker_open += 1;
-            }
-        }
-    }
-
-    /// Account one job expired at admission (never dispatched).
-    fn account_admission_expiry(&self, model: &str) {
-        if let Ok(mut map) = self.ledgers.lock() {
-            let l = map.entry(model.to_string()).or_default();
-            l.admitted += 1;
-            l.expired += 1;
-        }
-    }
-
     /// Answer one raw-source job: run the full static pipeline
     /// (lex → structure → diagnose → estimate) over the untrusted
     /// source, reject hazards, and label clean source against the
@@ -804,32 +785,19 @@ impl PredictionService {
         // Static roofline label: the best margin (in decades) of any op
         // class's static AI over the spec's ridge point decides the side,
         // mirroring the deep readers' mental model in `pce_llm`.
-        let mut verdict = Boundedness::Bandwidth;
-        let mut best_margin = f64::NEG_INFINITY;
-        for (idx, class) in pce_roofline::OpClass::ALL.iter().enumerate() {
-            let ai = kernel.tally.ai(idx);
-            if ai <= 0.0 {
-                continue;
-            }
-            let m = if ai.is_infinite() {
-                3.0
-            } else {
-                (ai / spec.ridge_point(*class)).log10()
-            };
-            best_margin = best_margin.max(m);
-            if m >= 0.0 {
-                verdict = Boundedness::Compute;
-            }
-        }
-        if best_margin == f64::NEG_INFINITY {
-            best_margin = -1.0; // no ops counted at all: far-bandwidth guess
-        }
+        let ridge = pce_roofline::OpClass::ALL.map(|c| spec.ridge_point(c));
+        let margin = kernel.tally.roofline_margin(ridge, 1.0);
+        let verdict = if margin >= 0.0 {
+            Boundedness::Compute
+        } else {
+            Boundedness::Bandwidth
+        };
         Ok(format!(
             "ok id={} kernel={} model={STATIC_MODEL} prediction={} margin={:+.2} warnings={}",
             job.id,
             kernel.name,
             verdict.answer_token(),
-            best_margin,
+            margin,
             analysis.diagnostics.len(),
         ))
     }
@@ -848,7 +816,7 @@ impl PredictionService {
                 deadline_ms: None,
             })
             .collect();
-        self.run_chunk(&queued, 0, 0)
+        self.run_chunk(&queued, 0)
             .answers
             .into_iter()
             .map(|a| a.line)
@@ -863,66 +831,65 @@ impl PredictionService {
     /// deadline; and jobs whose chunk finishes past their deadline expire
     /// at completion fan-out. Expired-after-dispatch jobs still merge
     /// their response accounting, keeping the `injected` balance exact.
-    fn run_chunk(&self, chunk: &[QueuedJob], dispatch_ms: u64, cost_ms: u64) -> ChunkResult {
+    fn run_chunk(&self, chunk: &[QueuedJob], dispatch_ms: u64) -> ChunkResult {
         // Admission: resolve every job, grouping the live ones.
         type GroupKey = (usize, String, bool);
         enum Slot {
             Live(GroupKey),
-            FormationExpired(u64),
-            Rejected(String),
-            /// A raw-source job answered by the static analyzer.
-            Static(String),
-            /// A raw-source job rejected by error-severity diagnostics.
-            LintRejected(String),
+            /// Answered at batch formation: expired in the queue,
+            /// rejected, or a raw-source job the static analyzer answered.
+            Done(String, ServeOutcome),
         }
         let mut slots: Vec<Slot> = Vec::with_capacity(chunk.len());
         let mut groups: BTreeMap<GroupKey, HardwareSpec> = BTreeMap::new();
-        let mut live = 0u64;
         for q in chunk {
-            if let Some(d) = q.deadline_ms {
-                if dispatch_ms > q.arrival_ms + d {
-                    slots.push(Slot::FormationExpired(d));
-                    continue;
-                }
-            }
-            if let Some(src) = &q.job.src {
-                slots.push(match self.static_answer(&q.job, src) {
-                    Ok(line) => Slot::Static(line),
-                    Err(e @ PceError::Lint { .. }) => Slot::LintRejected(format!(
-                        "err id={} kind={} error=\"{}\"",
-                        q.job.id,
-                        e.kind(),
-                        one_line(&e)
-                    )),
-                    Err(e) => Slot::Rejected(format!(
-                        "err id={} kind={} error=\"{}\"",
-                        q.job.id,
-                        e.kind(),
-                        one_line(&e)
-                    )),
-                });
-                continue;
-            }
-            match self.resolve(&q.job) {
-                Ok((prog, spec)) => {
-                    let key = (
-                        prog,
-                        spec.name.clone(),
-                        matches!(q.job.style, ShotStyle::FewShot),
-                    );
-                    groups.entry(key.clone()).or_insert(spec);
-                    slots.push(Slot::Live(key));
-                    live += 1;
-                }
-                Err(e) => slots.push(Slot::Rejected(format!(
-                    "err id={} kind={} error=\"{}\"",
-                    q.job.id,
-                    e.kind(),
-                    one_line(&e)
-                ))),
-            }
+            let id = &q.job.id;
+            let slot = match (q.deadline_ms, &q.job.src) {
+                (Some(d), _) if dispatch_ms > q.arrival_ms + d => Slot::Done(
+                    err_line(
+                        id,
+                        "timeout",
+                        format!(
+                            "deadline {d} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)",
+                            q.arrival_ms
+                        ),
+                    ),
+                    ServeOutcome::Expired,
+                ),
+                (_, Some(src)) => match self.static_answer(&q.job, src) {
+                    Ok(line) => Slot::Done(line, ServeOutcome::Completed),
+                    Err(e) => {
+                        let outcome = match e {
+                            PceError::Lint { .. } => ServeOutcome::LintRejected,
+                            _ => ServeOutcome::Completed,
+                        };
+                        Slot::Done(err_line(id, e.kind(), &e), outcome)
+                    }
+                },
+                (_, None) => match self.resolve(&q.job) {
+                    Ok((prog, spec)) => {
+                        let key = (
+                            prog,
+                            spec.name.clone(),
+                            matches!(q.job.style, ShotStyle::FewShot),
+                        );
+                        groups.entry(key.clone()).or_insert(spec);
+                        Slot::Live(key)
+                    }
+                    Err(e) => Slot::Done(err_line(id, e.kind(), &e), ServeOutcome::Completed),
+                },
+            };
+            slots.push(slot);
         }
-        let t_end = dispatch_ms + cost_ms * live;
+        let live: Vec<(&QueuedJob, &GroupKey)> = chunk
+            .iter()
+            .zip(&slots)
+            .filter_map(|(q, slot)| match slot {
+                Slot::Live(key) => Some((q, key)),
+                Slot::Done(..) => None,
+            })
+            .collect();
+        let t_end = dispatch_ms + COST_MS_PER_JOB * live.len() as u64;
 
         // Shared phase: one profile + ground truth + rendered prompt per
         // group, in parallel across groups.
@@ -954,93 +921,73 @@ impl PredictionService {
             })
             .collect();
 
-        // Per-job phase: completions fan out across the pool.
+        // Per-job phase: completions of the live jobs fan out across the
+        // pool.
         let sampling = SamplingParams::default();
-        let answered: Vec<FannedAnswer> = chunk
-                .par_iter()
-                .enumerate()
-                .map(|(i, q)| {
-                    let key = match &slots[i] {
-                        Slot::Live(key) => key,
-                        Slot::FormationExpired(d) => {
-                            let line = format!(
-                                "err id={} kind=timeout error=\"deadline {d} ms exceeded in queue (arrived {} ms, dispatched {dispatch_ms} ms)\"",
-                                q.job.id, q.arrival_ms,
-                            );
-                            return (line, ResponseAccounting::new(), ServeOutcome::Expired, None);
-                        }
-                        Slot::Rejected(line) | Slot::Static(line) => {
-                            return (
-                                line.clone(),
-                                ResponseAccounting::new(),
-                                ServeOutcome::Completed,
-                                None,
-                            )
-                        }
-                        Slot::LintRejected(line) => {
-                            return (
-                                line.clone(),
-                                ResponseAccounting::new(),
-                                ServeOutcome::LintRejected,
-                                None,
-                            )
-                        }
-                    };
-                    let prep = &prepared[key];
-                    // Budget retry backoff to the remaining deadline so a
-                    // retried job can never outlive it.
-                    let budget = q
-                        .deadline_ms
-                        .map(|d| (q.arrival_ms + d).saturating_sub(dispatch_ms));
-                    let policy = match budget {
-                        Some(b) => self.policy.with_budget(b),
-                        None => self.policy,
-                    };
-                    let out = self.engine.complete_with_retry(
-                        &q.job.model,
-                        &prep.prompt,
-                        Some(sampling),
-                        self.job_seed(&q.job),
-                        &policy,
-                    );
-                    let success = out.accounting.valid + out.accounting.retried_valid > 0;
-                    let signal = Some((q.job.model.clone(), success));
-                    // Completion fan-out deadline checks: the retry loop
-                    // ran out of backoff budget, or the chunk finished
-                    // past this job's deadline.
-                    let budget_timeout = matches!(
-                        (&out.error, budget),
-                        (Some(PceError::Timeout { ms }), Some(b)) if *ms == b
-                    );
-                    if let Some(d) = q.deadline_ms {
-                        if budget_timeout || t_end > q.arrival_ms + d {
-                            let line = format!(
-                                "err id={} kind=timeout error=\"deadline {d} ms exceeded during completion\"",
-                                q.job.id,
-                            );
-                            return (line, out.accounting, ServeOutcome::Expired, signal);
-                        }
+        let completed: Vec<FannedAnswer> = live
+            .par_iter()
+            .map(|&(q, key)| {
+                let prep = &prepared[key];
+                // Budget retry backoff to the remaining deadline so a
+                // retried job can never outlive it.
+                let budget = q
+                    .deadline_ms
+                    .map(|d| (q.arrival_ms + d).saturating_sub(dispatch_ms));
+                let policy = match budget {
+                    Some(b) => self.policy.with_budget(b),
+                    None => self.policy,
+                };
+                let out = self.engine.complete_with_retry(
+                    &q.job.model,
+                    &prep.prompt,
+                    Some(sampling),
+                    self.job_seed(&q.job),
+                    &policy,
+                );
+                let success = out.accounting.valid + out.accounting.retried_valid > 0;
+                let signal = Some((q.job.model.clone(), success));
+                // Completion fan-out deadline checks: the retry loop ran
+                // out of backoff budget, or the chunk finished past this
+                // job's deadline.
+                let budget_timeout = matches!(
+                    (&out.error, budget),
+                    (Some(PceError::Timeout { ms }), Some(b)) if *ms == b
+                );
+                if let Some(d) = q.deadline_ms {
+                    if budget_timeout || t_end > q.arrival_ms + d {
+                        let line = err_line(
+                            &q.job.id,
+                            "timeout",
+                            format!("deadline {d} ms exceeded during completion"),
+                        );
+                        return (line, out.accounting, ServeOutcome::Expired, signal);
                     }
-                    let prediction = match out.verdict {
-                        Some(b) => b.answer_token(),
-                        None => "invalid",
-                    };
-                    let correct = out.verdict == Some(prep.truth);
-                    let line = format!(
-                        "ok id={} kernel={} model={} prediction={prediction} truth={} correct={correct}",
-                        q.job.id,
-                        q.job.kernel,
-                        q.job.model,
-                        prep.truth.answer_token(),
-                    );
-                    (line, out.accounting, ServeOutcome::Completed, signal)
-                })
-                .collect();
+                }
+                let prediction = match out.verdict {
+                    Some(b) => b.answer_token(),
+                    None => "invalid",
+                };
+                let correct = out.verdict == Some(prep.truth);
+                let line = format!(
+                    "ok id={} kernel={} model={} prediction={prediction} truth={} correct={correct}",
+                    q.job.id,
+                    q.job.kernel,
+                    q.job.model,
+                    prep.truth.answer_token(),
+                );
+                (line, out.accounting, ServeOutcome::Completed, signal)
+            })
+            .collect();
 
         // Sequential ledger merge, in request order.
-        let mut answers = Vec::with_capacity(answered.len());
+        let mut completed = completed.into_iter();
+        let mut answers = Vec::with_capacity(chunk.len());
         let mut map = self.ledgers.lock();
-        for ((line, acc, outcome, breaker_signal), q) in answered.into_iter().zip(chunk) {
+        for (slot, q) in slots.into_iter().zip(chunk) {
+            let (line, acc, outcome, breaker_signal) = match slot {
+                Slot::Live(_) => completed.next().expect("one completion per live slot"),
+                Slot::Done(line, outcome) => (line, ResponseAccounting::new(), outcome, None),
+            };
             if let Ok(map) = map.as_mut() {
                 let l = map.entry(q.job.model.clone()).or_default();
                 l.admitted += 1;
@@ -1060,97 +1007,65 @@ impl PredictionService {
         ChunkResult { answers, t_end }
     }
 
-    /// Dispatch the first `n` pending jobs at `max(vnow, busy_until)`,
-    /// advancing the busy horizon, feeding the breaker, and writing
-    /// response lines in request order.
-    #[allow(clippy::too_many_arguments)]
-    fn dispatch<W: Write>(
-        &self,
-        pending: &mut Vec<QueuedJob>,
-        n: usize,
-        vnow: u64,
-        busy_until: &mut u64,
-        cost_ms: u64,
-        breaker: &mut CircuitBreaker,
-        writer: &mut W,
-    ) -> std::io::Result<()> {
-        let t = vnow.max(*busy_until);
-        let chunk: Vec<QueuedJob> = pending.drain(..n.min(pending.len())).collect();
-        let result = self.run_chunk(&chunk, t, cost_ms);
-        *busy_until = result.t_end;
-        for answer in result.answers {
-            if let Some((model, success)) = answer.breaker_signal {
-                breaker.record(&model, success);
-            }
-            writeln!(writer, "{}", answer.line)?;
-        }
-        Ok(())
-    }
-
-    /// Flush the whole queue in batch-sized chunks (each advancing the
-    /// virtual clock, so deadlines keep biting during the drain).
-    #[allow(clippy::too_many_arguments)]
-    fn drain_queue<W: Write>(
-        &self,
-        pending: &mut Vec<QueuedJob>,
-        batch: usize,
-        vnow: u64,
-        busy_until: &mut u64,
-        cost_ms: u64,
-        breaker: &mut CircuitBreaker,
-        writer: &mut W,
-    ) -> std::io::Result<()> {
-        while !pending.is_empty() {
-            let n = batch.min(pending.len());
-            self.dispatch(pending, n, vnow, busy_until, cost_ms, breaker, writer)?;
-        }
-        Ok(())
-    }
-
-    /// Drive the line protocol with the historical defaults (unbounded
-    /// queue, no deadlines) at this batch size.
-    pub fn serve_lines<R: BufRead, W: Write>(
-        &self,
-        reader: R,
-        writer: W,
-        batch: usize,
-    ) -> std::io::Result<()> {
-        self.serve_session(reader, writer, &ServeConfig::classic(batch))
-    }
-
     /// Drive the overload-safe line protocol: read commands from
     /// `reader`, write response lines to `writer`, enforcing the
     /// queue/deadline/breaker/drain model described at module level.
     ///
     /// Every job is answered exactly once. Completions come back in
-    /// request order; jobs rejected at admission (shed, breaker-open,
-    /// or already past deadline) are answered immediately, ahead of
-    /// earlier jobs still waiting in the queue.
+    /// request order; jobs refused at admission (shed, breaker-open, or
+    /// already past deadline) are answered immediately, ahead of earlier
+    /// jobs still waiting in the queue.
     pub fn serve_session<R: BufRead, W: Write>(
         &self,
         reader: R,
-        mut writer: W,
+        writer: W,
         config: &ServeConfig,
     ) -> std::io::Result<()> {
+        Session::new(self, writer, config).run(reader)
+    }
+}
+
+/// One protocol session: the admission queue, the virtual clock, the
+/// circuit breaker, and the response writer.
+struct Session<'a, W: Write> {
+    service: &'a PredictionService,
+    writer: W,
+    batch: usize,
+    depth: Option<usize>,
+    /// Queue length at which a batch is due: a full batch, or a full
+    /// bounded queue when that is smaller.
+    trigger: usize,
+    default_deadline_ms: Option<u64>,
+    breaker: CircuitBreaker,
+    pending: Vec<QueuedJob>,
+    /// Virtual now, advanced only by wire-chaos stalls.
+    vnow: u64,
+    /// Virtual time the last dispatched batch finishes.
+    busy_until: u64,
+    draining: bool,
+}
+
+impl<'a, W: Write> Session<'a, W> {
+    fn new(service: &'a PredictionService, writer: W, config: &ServeConfig) -> Self {
         let batch = config.batch.max(1);
         let depth = config.queue_depth.map(|d| d.max(1));
-        // A bounded server dispatches as soon as a full batch *or* a full
-        // queue is ready; an unbounded one keeps the historical
-        // batch-only trigger.
-        let trigger = depth.map(|d| d.min(batch)).unwrap_or(batch);
-        let cost = config.cost_ms_per_job;
-        let wire = self.wire_plan();
-        let mut breaker = CircuitBreaker::new(
-            config.breaker_threshold,
-            config.breaker_probe_rate,
-            self.study.seed,
-        );
-        let mut pending: Vec<QueuedJob> = Vec::new();
-        let mut vnow: u64 = 0;
-        let mut busy_until: u64 = 0;
-        let mut draining = false;
-        let mut disconnected = false;
+        Session {
+            service,
+            writer,
+            batch,
+            depth,
+            trigger: depth.map_or(batch, |d| d.min(batch)),
+            default_deadline_ms: config.default_deadline_ms,
+            breaker: CircuitBreaker::new(BREAKER_THRESHOLD, BREAKER_PROBE_RATE, service.study.seed),
+            pending: Vec::new(),
+            vnow: 0,
+            busy_until: 0,
+            draining: false,
+        }
+    }
 
+    fn run<R: BufRead>(mut self, reader: R) -> std::io::Result<()> {
+        let wire = self.service.wire_plan();
         for line in reader.lines() {
             let line = line?;
             let arrived = line.trim();
@@ -1160,186 +1075,143 @@ impl PredictionService {
             // Wire chaos: tear, drop, or stall this line — drawn from the
             // line's own bytes, so the realized faults are independent of
             // batching and threading.
-            let mut torn_at: Option<usize> = None;
-            if let Some(w) = &wire {
-                match w.draw(arrived) {
-                    Some(WireFault::Torn { at }) => torn_at = Some(at),
-                    Some(WireFault::Disconnect) => {
-                        disconnected = true;
-                        break;
-                    }
-                    Some(WireFault::Stall { ms }) => vnow += ms,
-                    None => {}
-                }
+            let mut effective = arrived;
+            match wire.as_ref().and_then(|w| w.draw(arrived)) {
+                Some(WireFault::Torn { at }) => effective = arrived[..at].trim_end(),
+                Some(WireFault::Disconnect) => break,
+                Some(WireFault::Stall { ms }) => self.vnow += ms,
+                None => {}
             }
-            let effective = match torn_at {
-                Some(at) => arrived[..at].trim_end(),
-                None => arrived,
-            };
             // A stall may have idled the server past its busy horizon:
             // give the queue a chance to move before admission decisions.
-            if depth.is_some() {
-                while vnow >= busy_until && pending.len() >= trigger {
-                    self.dispatch(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                }
-            }
+            self.pump()?;
             match Command::parse(effective) {
-                Ok(Command::Predict(job)) => {
-                    if draining {
-                        writeln!(
-                            writer,
-                            "err id={} kind=overload shed=drain error=\"{}\"",
-                            job.id,
-                            one_line(PceError::overload("server is draining"))
-                        )?;
-                        self.account_shed(&job.model, false);
-                        continue;
-                    }
-                    match breaker.admit(&job.model) {
-                        BreakerDecision::Shed => {
-                            writeln!(
-                                writer,
-                                "err id={} kind=overload shed=breaker error=\"{}\"",
-                                job.id,
-                                one_line(PceError::overload(format!(
-                                    "circuit breaker open for model '{}'",
-                                    job.model
-                                )))
-                            )?;
-                            self.account_shed(&job.model, true);
-                            continue;
-                        }
-                        BreakerDecision::Admit | BreakerDecision::Probe => {}
-                    }
-                    if let Some(d) = depth {
-                        if pending.len() >= d {
-                            // The idle case already dispatched above, so a
-                            // full queue here means the server is busy.
-                            writeln!(
-                                writer,
-                                "err id={} kind=overload shed=queue error=\"{}\"",
-                                job.id,
-                                one_line(PceError::overload(format!(
-                                    "admission queue full (depth {d})"
-                                )))
-                            )?;
-                            self.account_shed(&job.model, false);
-                            continue;
-                        }
-                    }
-                    let deadline_ms = job.deadline_ms.or(config.default_deadline_ms);
-                    if let Some(d) = deadline_ms {
-                        let earliest = vnow.max(busy_until);
-                        if earliest > vnow + d {
-                            writeln!(
-                                writer,
-                                "err id={} kind=timeout error=\"deadline {d} ms expired at admission (earliest dispatch {earliest} ms, arrived {vnow} ms)\"",
-                                job.id,
-                            )?;
-                            self.account_admission_expiry(&job.model);
-                            continue;
-                        }
-                    }
-                    pending.push(QueuedJob {
-                        job,
-                        arrival_ms: vnow,
-                        deadline_ms,
-                    });
-                    if depth.is_some() {
-                        while vnow >= busy_until && pending.len() >= trigger {
-                            self.dispatch(
-                                &mut pending,
-                                batch,
-                                vnow,
-                                &mut busy_until,
-                                cost,
-                                &mut breaker,
-                                &mut writer,
-                            )?;
-                        }
-                    } else if pending.len() >= batch {
-                        self.dispatch(
-                            &mut pending,
-                            batch,
-                            vnow,
-                            &mut busy_until,
-                            cost,
-                            &mut breaker,
-                            &mut writer,
-                        )?;
-                    }
-                }
+                Ok(Command::Predict(job)) => self.admit(job)?,
                 Ok(Command::Stats) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    writeln!(writer, "{}", self.stats_line())?;
+                    self.drain()?;
+                    self.write_stats()?;
                 }
                 Ok(Command::Drain) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    draining = true;
-                    writeln!(writer, "{}", self.stats_line())?;
+                    self.drain()?;
+                    self.draining = true;
+                    self.write_stats()?;
                 }
                 Ok(Command::Quit) => {
-                    self.drain_queue(
-                        &mut pending,
-                        batch,
-                        vnow,
-                        &mut busy_until,
-                        cost,
-                        &mut breaker,
-                        &mut writer,
-                    )?;
-                    writer.flush()?;
-                    return Ok(());
+                    self.drain()?;
+                    return self.writer.flush();
                 }
-                Err(e) => {
-                    writeln!(
-                        writer,
-                        "err id=- kind={} error=\"{}\"",
-                        e.kind(),
-                        one_line(&e)
-                    )?;
-                }
+                Err(e) => writeln!(self.writer, "{}", err_line("-", e.kind(), &e))?,
             }
         }
         // EOF (or a chaos disconnect): stop admission, flush in-flight
         // work, and close the session with a final balanced-ledger stats
         // line.
-        self.drain_queue(
-            &mut pending,
-            batch,
-            vnow,
-            &mut busy_until,
-            cost,
-            &mut breaker,
-            &mut writer,
-        )?;
-        let _ = disconnected;
-        writeln!(writer, "{}", self.stats_line())?;
-        writer.flush()
+        self.drain()?;
+        self.write_stats()?;
+        self.writer.flush()
+    }
+
+    /// The one dispatch rule: a batch is due once `trigger` jobs are
+    /// queued and, for a bounded queue, the server is idle on the
+    /// virtual clock.
+    fn ready(&self) -> bool {
+        self.pending.len() >= self.trigger && (self.depth.is_none() || self.vnow >= self.busy_until)
+    }
+
+    /// Dispatch every batch that is due.
+    fn pump(&mut self) -> std::io::Result<()> {
+        while self.ready() {
+            self.dispatch()?;
+        }
+        Ok(())
+    }
+
+    /// Flush the whole queue in batch-sized chunks (each advancing the
+    /// virtual clock, so deadlines keep biting during the drain).
+    fn drain(&mut self) -> std::io::Result<()> {
+        while !self.pending.is_empty() {
+            self.dispatch()?;
+        }
+        Ok(())
+    }
+
+    /// Dispatch the next batch at `max(vnow, busy_until)`, advancing the
+    /// busy horizon, feeding the breaker, and writing response lines in
+    /// request order.
+    fn dispatch(&mut self) -> std::io::Result<()> {
+        let n = self.batch.min(self.pending.len());
+        let chunk: Vec<QueuedJob> = self.pending.drain(..n).collect();
+        let result = self
+            .service
+            .run_chunk(&chunk, self.vnow.max(self.busy_until));
+        self.busy_until = result.t_end;
+        for answer in result.answers {
+            if let Some((model, success)) = answer.breaker_signal {
+                self.breaker.record(&model, success);
+            }
+            writeln!(self.writer, "{}", answer.line)?;
+        }
+        Ok(())
+    }
+
+    /// Admit one job: refuse it (drain, breaker, full queue, hopeless
+    /// deadline, in that order) or queue it and dispatch what is due.
+    fn admit(&mut self, job: Job) -> std::io::Result<()> {
+        let shed = |l: &mut ResponseAccounting| l.shed += 1;
+        if self.draining {
+            let e = PceError::overload("server is draining");
+            return self.refuse(&job, "overload shed=drain", e, shed);
+        }
+        if self.breaker.admit(&job.model) == BreakerDecision::Shed {
+            let e = PceError::overload(format!("circuit breaker open for model '{}'", job.model));
+            return self.refuse(&job, "overload shed=breaker", e, |l| {
+                l.shed += 1;
+                l.breaker_open += 1;
+            });
+        }
+        if let Some(d) = self.depth.filter(|&d| self.pending.len() >= d) {
+            // The idle case already dispatched, so a full queue here
+            // means the server is busy.
+            let e = PceError::overload(format!("admission queue full (depth {d})"));
+            return self.refuse(&job, "overload shed=queue", e, shed);
+        }
+        let deadline_ms = job.deadline_ms.or(self.default_deadline_ms);
+        if let Some(d) = deadline_ms {
+            let (vnow, earliest) = (self.vnow, self.vnow.max(self.busy_until));
+            if earliest > vnow + d {
+                let why = format!("deadline {d} ms expired at admission (earliest dispatch {earliest} ms, arrived {vnow} ms)");
+                return self.refuse(&job, "timeout", why, |l| l.expired += 1);
+            }
+        }
+        self.pending.push(QueuedJob {
+            job,
+            arrival_ms: self.vnow,
+            deadline_ms,
+        });
+        self.pump()
+    }
+
+    /// Answer a job that never reaches the queue with an `err` line of
+    /// `kind`, and account it as admitted plus whatever `count` adds
+    /// (shed or expired) in its model's ledger.
+    fn refuse(
+        &mut self,
+        job: &Job,
+        kind: &str,
+        msg: impl std::fmt::Display,
+        count: impl FnOnce(&mut ResponseAccounting),
+    ) -> std::io::Result<()> {
+        writeln!(self.writer, "{}", err_line(&job.id, kind, msg))?;
+        if let Ok(mut map) = self.service.ledgers.lock() {
+            let l = map.entry(job.model.clone()).or_default();
+            l.admitted += 1;
+            count(l);
+        }
+        Ok(())
+    }
+
+    fn write_stats(&mut self) -> std::io::Result<()> {
+        writeln!(self.writer, "{}", self.service.stats_line())
     }
 }
 

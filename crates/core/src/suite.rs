@@ -386,19 +386,16 @@ impl SuiteOutcome {
     }
 }
 
-/// Run the whole suite: shared build, then every (GPU, CPU, model) cell.
+/// Run the whole suite against a shared cache bundle: shared build, then
+/// every (GPU, CPU, model) cell. Pass `&SuiteCaches::new()` for a cold
+/// run; reusing one bundle across runs also reuses per-(kernel, spec)
+/// profiles and analyses, and warm and cold bundles produce
+/// byte-identical outcomes.
 ///
 /// Fails with [`PceError::Spec`] only when an axis is empty; any
 /// *per-cell* problem (a misclassed spec, chaos exhausting every retry)
 /// degrades that cell to [`CellOutcome::Failed`] instead.
-pub fn run_suite(suite: &Suite) -> Result<SuiteOutcome, PceError> {
-    run_suite_cached(suite, &SuiteCaches::new())
-}
-
-/// Run the whole suite against a shared cache bundle. Reusing one bundle
-/// across runs also reuses per-(kernel, spec) profiles and analyses;
-/// warm and cold bundles produce byte-identical outcomes.
-pub fn run_suite_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutcome, PceError> {
+pub fn run_suite(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutcome, PceError> {
     let shared = SharedBuild::build_cached(suite, caches)?;
     run_suite_shared_cached(suite, &shared, caches)
 }
@@ -577,7 +574,7 @@ impl SuiteBench {
 
 /// Run the whole suite with stage-level timing instrumentation.
 ///
-/// The outcome is byte-identical to [`run_suite_cached`] on the same
+/// The outcome is byte-identical to [`run_suite`] on the same
 /// bundle; the accompanying [`SuiteBench`] carries per-stage wall-clock
 /// and the bundle's cache counters.
 pub fn run_suite_timed(
@@ -595,7 +592,7 @@ pub fn run_suite_timed(
     };
 
     // Exactly the untimed pipeline, observed: the shared build and the
-    // spec evaluation are the same functions run_suite_cached composes.
+    // spec evaluation are the same functions run_suite composes.
     let shared = SharedBuild::build_instrumented(suite, caches, &mut stage)?;
 
     let t = Instant::now();
@@ -800,7 +797,7 @@ mod tests {
     #[test]
     fn suite_produces_one_outcome_per_cell_in_gpu_major_order() {
         let suite = tiny_matrix_suite();
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
         assert_eq!(outcome.completed().len(), 4);
         assert!(outcome.failures().is_empty());
         let cells = suite.cells();
@@ -835,7 +832,7 @@ mod tests {
         // The 3080's 1/64-rate DP pipes put its DP ridge at ~0.6 flop/B;
         // the MI250X's full-rate DP over 3.2 TB/s sits at ~14.6. Any
         // DP-heavy CUDA kernel in between must flip.
-        let outcome = run_suite(&tiny_suite()).unwrap();
+        let outcome = run_suite(&tiny_suite(), &SuiteCaches::new()).unwrap();
         let cuda = outcome.flips.language(Language::Cuda).unwrap();
         assert!(
             cuda.flipping > 0,
@@ -860,7 +857,7 @@ mod tests {
             vec![HardwareSpec::epyc_9654(), HardwareSpec::xeon_8480p()],
         );
         shrink(&mut suite);
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
         let omp = outcome.flips.language(Language::Omp).unwrap();
         assert!(
             omp.flipping > 0,
@@ -876,7 +873,7 @@ mod tests {
 
     #[test]
     fn flip_analysis_counts_are_consistent() {
-        let outcome = run_suite(&tiny_matrix_suite()).unwrap();
+        let outcome = run_suite(&tiny_matrix_suite(), &SuiteCaches::new()).unwrap();
         let mut total = 0;
         for section in &outcome.flips.by_language {
             let recount = section.kernels.iter().filter(|k| k.flips()).count();
@@ -898,10 +895,10 @@ mod tests {
     #[test]
     fn warm_and_cold_bundles_produce_identical_outcomes() {
         let suite = tiny_suite();
-        let cold = run_suite(&suite).unwrap();
+        let cold = run_suite(&suite, &SuiteCaches::new()).unwrap();
         let caches = SuiteCaches::new();
-        let warm_first = run_suite_cached(&suite, &caches).unwrap();
-        let warm_second = run_suite_cached(&suite, &caches).unwrap();
+        let warm_first = run_suite(&suite, &caches).unwrap();
+        let warm_second = run_suite(&suite, &caches).unwrap();
         assert_eq!(cold, warm_first, "cold vs first cached run");
         assert_eq!(cold, warm_second, "cold vs fully-warm rerun");
         // The rerun must have been served from the profile memo and the
@@ -917,7 +914,7 @@ mod tests {
         let suite = tiny_matrix_suite();
         let caches = SuiteCaches::new();
         let (outcome, bench) = run_suite_timed(&suite, &caches).unwrap();
-        assert_eq!(outcome, run_suite(&suite).unwrap());
+        assert_eq!(outcome, run_suite(&suite, &SuiteCaches::new()).unwrap());
         assert_eq!(bench.specs, suite.specs.len());
         assert_eq!(bench.cpu_specs, suite.cpu_specs.len());
         assert_eq!(bench.cells, outcome.completed().len());
@@ -987,7 +984,7 @@ mod tests {
         // flip analysis drops the dead axis entry.
         let mut suite = tiny_suite();
         suite.cpu_specs = vec![HardwareSpec::epyc_9654(), HardwareSpec::rtx_3080()];
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
         assert_eq!(outcome.cells.len(), 4);
         assert_eq!(outcome.completed().len(), 2);
         let failures = outcome.failures();
@@ -1008,7 +1005,7 @@ mod tests {
     fn chaos_suite_completes_every_cell_with_a_balanced_ledger() {
         let mut suite = tiny_suite();
         suite.base.chaos = Some(crate::study::ChaosConfig::uniform(42, 0.1));
-        let outcome = run_suite(&suite).unwrap();
+        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
         // A 10% fault rate recovers through retries; no cell dies.
         assert_eq!(outcome.completed().len(), outcome.cells.len());
         let acc = outcome.accounting();
@@ -1019,7 +1016,7 @@ mod tests {
             assert!(s.table.accounting().balanced());
         }
         // The same seed reproduces the ledger exactly.
-        let again = run_suite(&suite).unwrap();
+        let again = run_suite(&suite, &SuiteCaches::new()).unwrap();
         assert_eq!(outcome, again);
     }
 
@@ -1027,13 +1024,13 @@ mod tests {
     fn empty_axes_are_suite_fatal() {
         let mut suite = tiny_suite();
         suite.cpu_specs.clear();
-        let err = run_suite(&suite).unwrap_err();
+        let err = run_suite(&suite, &SuiteCaches::new()).unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid spec: suite needs at least one CPU spec"
         );
         suite.specs.clear();
-        let err = run_suite(&suite).unwrap_err();
+        let err = run_suite(&suite, &SuiteCaches::new()).unwrap_err();
         assert!(err.to_string().contains("at least one GPU spec"));
     }
 }

@@ -23,7 +23,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pce_memo::{Fnv, Memo};
+use pce_memo::{Fnv, LayerBudget, Memo};
 use pce_roofline::HardwareSpec;
 
 use crate::ir::{BodySummary, KernelIr};
@@ -32,26 +32,9 @@ use crate::profiler::KernelProfile;
 
 pub use pce_memo::CacheCounters;
 
-/// Byte budgets for the simulator's two memo layers. `None` leaves that
-/// layer unbounded (no size accounting, no eviction) — the right choice
-/// for one-shot batch runs; long-lived services should bound both.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SimBudget {
-    /// Capacity of the body-summary cache, in approximate bytes.
-    pub summary_bytes: Option<u64>,
-    /// Capacity of the profile cache, in approximate bytes.
-    pub profile_bytes: Option<u64>,
-}
-
-impl SimBudget {
-    /// Bound both layers to the same capacity.
-    pub fn uniform(bytes: u64) -> SimBudget {
-        SimBudget {
-            summary_bytes: Some(bytes),
-            profile_bytes: Some(bytes),
-        }
-    }
-}
+/// Byte budget for the simulator's two memo layers (body summaries and
+/// profiles), each bounded to the same capacity.
+pub type SimBudget = LayerBudget;
 
 /// Approximate heap bytes of a launch-parameter map.
 fn map_bytes(map: &BTreeMap<String, u64>) -> u64 {
@@ -73,9 +56,9 @@ pub struct SummaryCache {
 }
 
 impl SummaryCache {
-    /// A cache bounded to `bytes` (`None` = unbounded), charging each
-    /// entry its key's IR/params footprint plus the summary itself.
-    fn with_budget(bytes: Option<u64>) -> SummaryCache {
+    /// A cache bounded per `budget`, charging each entry its key's
+    /// IR/params footprint plus the summary itself.
+    fn with_budget(budget: SimBudget) -> SummaryCache {
         let cost = |k: &SummaryKey, v: &BodySummary| {
             k.ir.approx_bytes()
                 + map_bytes(&k.params)
@@ -83,10 +66,7 @@ impl SummaryCache {
                 + v.demands.len() as u64 * 64
         };
         SummaryCache {
-            memo: match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            },
+            memo: budget.memo(cost),
         }
     }
     /// The folded summary of `ir` under `params`, computed at most once
@@ -139,9 +119,9 @@ pub struct ProfileCache {
 }
 
 impl ProfileCache {
-    /// A cache bounded to `bytes` (`None` = unbounded), charging each
-    /// entry its full launch-identity key plus the profile.
-    fn with_budget(bytes: Option<u64>) -> ProfileCache {
+    /// A cache bounded per `budget`, charging each entry its full
+    /// launch-identity key plus the profile.
+    fn with_budget(budget: SimBudget) -> ProfileCache {
         let cost = |k: &ProfileKey, v: &KernelProfile| {
             k.ir.approx_bytes()
                 + map_bytes(&k.launch.params)
@@ -154,10 +134,7 @@ impl ProfileCache {
                 + v.buffers.len() as u64 * 64
         };
         ProfileCache {
-            memo: match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            },
+            memo: budget.memo(cost),
         }
     }
 
@@ -231,15 +208,14 @@ impl SimCaches {
         SimCaches::default()
     }
 
-    /// A fresh bundle with each layer bounded per `budget` (`None` fields
-    /// stay unbounded). Bounded and unbounded bundles produce
+    /// A fresh bundle with each layer bounded per `budget`. Bounded and unbounded bundles produce
     /// byte-identical results — every cached function is pure, so an
     /// eviction only costs recomputation.
     pub fn with_budget(budget: SimBudget) -> SimCaches {
         SimCaches {
             inner: Arc::new(SimCachesInner {
-                summaries: SummaryCache::with_budget(budget.summary_bytes),
-                profiles: ProfileCache::with_budget(budget.profile_bytes),
+                summaries: SummaryCache::with_budget(budget),
+                profiles: ProfileCache::with_budget(budget),
             }),
         }
     }

@@ -27,36 +27,16 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use pce_memo::{Fnv, Memo};
+use pce_memo::{Fnv, LayerBudget, Memo};
 use pce_static_analysis::{analyze, AnalyzeOptions, SourceAnalysis};
 
 use crate::parse::{bind_args_to_params, parse_classify, parse_rq1, ClassifyQuestion, Rq1Question};
 
 pub use pce_memo::CacheCounters;
 
-/// Byte budgets for the engine's three memo layers. `None` leaves that
-/// layer unbounded — fine for one-shot batch runs; long-lived services
-/// should bound all three.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct LlmBudget {
-    /// Capacity of the static-analysis cache, in approximate bytes.
-    pub analysis_bytes: Option<u64>,
-    /// Capacity of the classify prompt-parse cache.
-    pub classify_bytes: Option<u64>,
-    /// Capacity of the RQ1 prompt-parse cache.
-    pub rq1_bytes: Option<u64>,
-}
-
-impl LlmBudget {
-    /// Bound all three layers to the same capacity.
-    pub fn uniform(bytes: u64) -> LlmBudget {
-        LlmBudget {
-            analysis_bytes: Some(bytes),
-            classify_bytes: Some(bytes),
-            rq1_bytes: Some(bytes),
-        }
-    }
-}
+/// Byte budget for the engine's three memo layers (static analyses and
+/// the two prompt-parse caches), each bounded to the same capacity.
+pub type LlmBudget = LayerBudget;
 
 /// Fingerprint a prompt: word-granular FNV-1a over its bytes.
 ///
@@ -111,8 +91,7 @@ impl LlmCaches {
         LlmCaches::default()
     }
 
-    /// A fresh bundle with each layer bounded per `budget` (`None` fields
-    /// stay unbounded). Entry costs are approximations dominated by the
+    /// A fresh bundle with each layer bounded per `budget`. Entry costs are approximations dominated by the
     /// cached source/prompt text; evictions only cost recomputation, so
     /// bounded and unbounded bundles stay byte-identical.
     pub fn with_budget(budget: LlmBudget) -> LlmCaches {
@@ -126,20 +105,11 @@ impl LlmCaches {
         // prompt, so a parse entry weighs roughly two prompt lengths.
         let classify_cost = |k: &String, _: &Option<ParsedClassify>| 2 * k.len() as u64 + 512;
         let rq1_cost = |k: &String, _: &Option<Rq1Question>| k.len() as u64 + 256;
-        fn build<K: PartialEq, V>(
-            bytes: Option<u64>,
-            cost: impl Fn(&K, &V) -> u64 + Send + Sync + 'static,
-        ) -> Memo<K, V> {
-            match bytes {
-                Some(b) => Memo::bounded(b, cost),
-                None => Memo::new(),
-            }
-        }
         LlmCaches {
             inner: Arc::new(LlmCachesInner {
-                analyses: build(budget.analysis_bytes, analysis_cost),
-                classify: build(budget.classify_bytes, classify_cost),
-                rq1: build(budget.rq1_bytes, rq1_cost),
+                analyses: budget.memo(analysis_cost),
+                classify: budget.memo(classify_cost),
+                rq1: budget.memo(rq1_cost),
             }),
         }
     }

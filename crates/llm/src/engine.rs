@@ -409,26 +409,12 @@ impl SurrogateEngine {
             q.peak_dp / q.bandwidth,
             q.peak_int / q.bandwidth,
         ];
-        let mut verdict = Boundedness::Bandwidth;
-        let mut best_margin = f64::NEG_INFINITY; // max over classes of log10(ai/balance)
-        for (class_idx, balance) in balances.iter().enumerate() {
-            let ai = tally.ai(class_idx) * reuse_boost;
-            if ai <= 0.0 {
-                continue;
-            }
-            let m = if ai.is_infinite() {
-                3.0
-            } else {
-                (ai / balance).log10()
-            };
-            best_margin = best_margin.max(m);
-            if m >= 0.0 {
-                verdict = Boundedness::Compute;
-            }
-        }
-        if best_margin == f64::NEG_INFINITY {
-            best_margin = -1.0; // no ops seen at all: far-BB guess
-        }
+        let best_margin = tally.roofline_margin(balances, reuse_boost);
+        let verdict = if best_margin >= 0.0 {
+            Boundedness::Compute
+        } else {
+            Boundedness::Bandwidth
+        };
 
         // Classification noise. Two regimes:
         //

@@ -267,6 +267,36 @@ impl<K, V> Default for Shard<K, V> {
 /// Per-entry cost function for bounded tables.
 type CostFn<K, V> = Arc<dyn Fn(&K, &V) -> u64 + Send + Sync>;
 
+/// A per-layer byte cap for memo tables: every layer built from one
+/// budget gets the same capacity. The default leaves every layer
+/// unbounded (no size accounting, no eviction), the right choice for
+/// one-shot batch runs; long-lived services should bound their layers.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct LayerBudget {
+    bytes_per_layer: Option<u64>,
+}
+
+impl LayerBudget {
+    /// Bound every layer to `bytes`.
+    pub fn uniform(bytes: u64) -> LayerBudget {
+        LayerBudget {
+            bytes_per_layer: Some(bytes),
+        }
+    }
+
+    /// A fresh memo layer under this cap: [`Memo::bounded`] charging
+    /// each entry `cost`, or an unbounded [`Memo::new`].
+    pub fn memo<K: PartialEq, V>(
+        self,
+        cost: impl Fn(&K, &V) -> u64 + Send + Sync + 'static,
+    ) -> Memo<K, V> {
+        match self.bytes_per_layer {
+            Some(bytes) => Memo::bounded(bytes, cost),
+            None => Memo::new(),
+        }
+    }
+}
+
 /// A sharded fingerprint-bucketed memo table, optionally bounded.
 ///
 /// Keys are bucketed by a caller-supplied 64-bit fingerprint; each bucket

@@ -66,6 +66,32 @@ impl OpTally {
         }
     }
 
+    /// The static roofline margin in decades: the maximum over op
+    /// classes of `log10(ai · reuse_boost / balance)`, with `balances`
+    /// in [`ai`](OpTally::ai) class order. A class with ops but no bytes
+    /// counts as `3.0`; a tally with no ops at all as `-1.0`. The kernel
+    /// is compute-bound iff the margin is `>= 0`.
+    pub fn roofline_margin(&self, balances: [f64; 3], reuse_boost: f64) -> f64 {
+        let mut best = f64::NEG_INFINITY;
+        for (class_index, balance) in balances.iter().enumerate() {
+            let ai = self.ai(class_index) * reuse_boost;
+            if ai <= 0.0 {
+                continue;
+            }
+            let m = if ai.is_infinite() {
+                3.0
+            } else {
+                (ai / balance).log10()
+            };
+            best = best.max(m);
+        }
+        if best == f64::NEG_INFINITY {
+            -1.0
+        } else {
+            best
+        }
+    }
+
     fn add_scaled(&mut self, other: &OpTally, w: f64) {
         self.flops_sp += other.flops_sp * w;
         self.flops_dp += other.flops_dp * w;
@@ -771,5 +797,27 @@ __global__ void idx(int* out) {
         let a = analyze_default("");
         assert!(a.kernels.is_empty());
         assert_eq!(a.file_tally, OpTally::default());
+    }
+
+    #[test]
+    fn roofline_margin_covers_infinite_ai_and_empty_tallies() {
+        let balances = [10.0, 5.0, 2.0];
+        // No ops counted at all: the far-bandwidth guess.
+        assert_eq!(OpTally::default().roofline_margin(balances, 1.0), -1.0);
+        // Ops but no bytes: infinite AI counts as three decades.
+        let no_bytes = OpTally {
+            intops: 4.0,
+            ..OpTally::default()
+        };
+        assert_eq!(no_bytes.roofline_margin(balances, 1.0), 3.0);
+        // Finite AI: the best class wins, and the boost scales AI.
+        let t = OpTally {
+            flops_sp: 1.0,
+            flops_dp: 1.0,
+            read_bytes: 1.0,
+            ..OpTally::default()
+        };
+        assert!((t.roofline_margin(balances, 1.0) - (1.0f64 / 5.0).log10()).abs() < 1e-12);
+        assert!(t.roofline_margin(balances, 10.0) > 0.0);
     }
 }

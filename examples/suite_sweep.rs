@@ -5,6 +5,7 @@
 //!
 //! Run with: `cargo run --release --example suite_sweep`
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::suite::{run_suite, Suite};
 use parallel_code_estimation::roofline::{HardwareSpec, OpClass};
 
@@ -23,7 +24,7 @@ fn main() {
         suite.cpu_specs.len(),
         suite.cells().len()
     );
-    let outcome = run_suite(&suite).expect("smoke matrix axes are valid");
+    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke matrix axes are valid");
 
     println!(
         "{:<28} {:<28} {:>9} {:>9} {:>8} {:>10}",

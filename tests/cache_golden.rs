@@ -15,9 +15,7 @@ use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
 use parallel_code_estimation::core::study::{Study, StudyData};
-use parallel_code_estimation::core::suite::{
-    run_suite, run_suite_cached, run_suite_timed, Suite, SuiteOutcome,
-};
+use parallel_code_estimation::core::suite::{run_suite, run_suite_timed, Suite, SuiteOutcome};
 use parallel_code_estimation::core::table1::{
     build_table1, build_table1_from_bank_cached, Rq1Bank,
 };
@@ -50,14 +48,14 @@ fn render(outcome: &SuiteOutcome) -> String {
 fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let suite = tiny_suite();
 
-    // --- Reference: cold caches (run_suite builds a private fresh bundle).
-    let cold = render(&run_suite(&suite).unwrap());
+    // --- Reference: cold caches (a fresh bundle per run).
+    let cold = render(&run_suite(&suite, &SuiteCaches::new()).unwrap());
 
     // --- One shared bundle, exercised twice: the first run populates it,
     // the second is served by the profile memo and analysis caches.
     let caches = SuiteCaches::new();
-    let warm_first = render(&run_suite_cached(&suite, &caches).unwrap());
-    let warm_second = render(&run_suite_cached(&suite, &caches).unwrap());
+    let warm_first = render(&run_suite(&suite, &caches).unwrap());
+    let warm_second = render(&run_suite(&suite, &caches).unwrap());
     assert_eq!(cold, warm_first, "cold vs freshly-populated bundle");
     assert_eq!(cold, warm_second, "cold vs fully-warm bundle");
     let report = caches.report();
@@ -91,11 +89,11 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     // on a cold one, forced through genuinely different rayon budgets.
     std::env::set_var("RAYON_NUM_THREADS", "4");
     assert_eq!(rayon::current_num_threads(), 4);
-    let warm_parallel = render(&run_suite_cached(&suite, &caches).unwrap());
-    let cold_parallel = render(&run_suite(&suite).unwrap());
+    let warm_parallel = render(&run_suite(&suite, &caches).unwrap());
+    let cold_parallel = render(&run_suite(&suite, &SuiteCaches::new()).unwrap());
     std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_eq!(rayon::current_num_threads(), 1);
-    let warm_serial = render(&run_suite_cached(&suite, &caches).unwrap());
+    let warm_serial = render(&run_suite(&suite, &caches).unwrap());
     std::env::remove_var("RAYON_NUM_THREADS");
 
     assert_eq!(warm_parallel, warm_serial, "warm: 4 threads vs 1 thread");
@@ -108,7 +106,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let tight = CacheBudget::uniform(96 * 1024);
     std::env::set_var("RAYON_NUM_THREADS", "4");
     let evicting = SuiteCaches::with_budget(tight);
-    let bounded_parallel = render(&run_suite_cached(&suite, &evicting).unwrap());
+    let bounded_parallel = render(&run_suite(&suite, &evicting).unwrap());
     let report = evicting.report();
     assert!(
         report.total_evictions() > 0,
@@ -119,8 +117,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
         "resident bytes exceed the five per-cache budgets: {report:?}"
     );
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let bounded_serial =
-        render(&run_suite_cached(&suite, &SuiteCaches::with_budget(tight)).unwrap());
+    let bounded_serial = render(&run_suite(&suite, &SuiteCaches::with_budget(tight)).unwrap());
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(cold, bounded_parallel, "bounded (evicting) vs cold");
     assert_eq!(cold, bounded_serial, "bounded: 1 thread vs cold");
@@ -130,7 +127,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let all_miss = SuiteCaches::with_budget(CacheBudget::uniform(1));
     assert_eq!(
         cold,
-        render(&run_suite_cached(&suite, &all_miss).unwrap()),
+        render(&run_suite(&suite, &all_miss).unwrap()),
         "capacity-1 (all-miss) bundle diverged"
     );
     let report = all_miss.report();

@@ -7,6 +7,7 @@
 //! vendored rayon re-reads `RAYON_NUM_THREADS` per call and the env-var
 //! flip must not race other tests in this binary.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::report::{
     render_accounting_csv, render_suite, render_suite_csv,
 };
@@ -29,7 +30,7 @@ fn chaos_suite(chaos: Option<ChaosConfig>) -> Suite {
 
 fn run_and_render(chaos: Option<ChaosConfig>) -> (SuiteOutcome, String) {
     let suite = chaos_suite(chaos);
-    let outcome = run_suite(&suite).expect("smoke axes are valid");
+    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke axes are valid");
     let rendered = format!(
         "{}\n{}\n{}",
         render_suite(&outcome),

@@ -9,6 +9,7 @@
 //! so the env-var flip cannot race a concurrently running test in this
 //! binary.
 
+use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
@@ -29,7 +30,7 @@ fn render_everything() -> String {
         HardwareSpec::a100(),
         HardwareSpec::mi250x(),
     ]);
-    let outcome = run_suite(&suite).expect("smoke suite axes are valid");
+    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke suite axes are valid");
 
     format!(
         "{}\n{}\n{}\n{}",

@@ -6,7 +6,7 @@
 
 use std::io::Cursor;
 
-use parallel_code_estimation::core::serve::{encode_src, PredictionService};
+use parallel_code_estimation::core::serve::{encode_src, PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::kernels::build_corpus;
 use parallel_code_estimation::static_analysis::{diagnose, Diagnostic, RuleId, Severity};
@@ -16,6 +16,18 @@ const CLEAN_SRC: &str = "__global__ void saxpy(int n, float a, const float* x, f
 
 /// A racy kernel: tree reduction with the loop barrier deleted.
 const RACY_SRC: &str = "__global__ void reduce_sum(const float* x, float* out, int n) {\n    __shared__ float buf[256];\n    int i = blockIdx.x * blockDim.x + threadIdx.x;\n    buf[threadIdx.x] = (i < n) ? x[i] : 0.0f;\n    __syncthreads();\n    for (int s = 128; s > 0; s >>= 1) {\n        if (threadIdx.x < s) { buf[threadIdx.x] += buf[threadIdx.x + s]; }\n    }\n    if (threadIdx.x == 0) { out[blockIdx.x] = buf[0]; }\n}\n";
+
+/// The full serve transcript for `CLEAN_SRC` on rtx-3080, `RACY_SRC`,
+/// `CLEAN_SRC` on h100-sxm, then `stats`.
+const PINNED_SRC_TRANSCRIPT: &str = concat!(
+    "ok id=c1 kernel=saxpy model=static prediction=Bandwidth margin=-1.59 warnings=0\n",
+    "err id=r1 kind=lint error=\"lint rejected: ",
+    "shared-race at 7:32: write of buf[threadIdx.x] may race with the unsynchronized read of buf[threadIdx.x+s]; ",
+    "shared-race at 7:52: read of buf[threadIdx.x+s] may race with the write of buf[threadIdx.x] pending since before the last __syncthreads(); ",
+    "shared-race at 9:47: read of buf[0] may race with the write of buf[threadIdx.x] pending since before the last __syncthreads()\"\n",
+    "ok id=c2 kernel=saxpy model=static prediction=Bandwidth margin=-1.30 warnings=0\n",
+    "stats jobs=3 cache_hits=0 cache_misses=0 evictions=0 resident_bytes=0 completed=2 shed=0 expired=0 breaker_open=0 lint=1 ledger_balanced=true\n",
+);
 
 /// The first finding for `rule` in `src`, asserting there is one.
 fn first_finding(src: &str, rule: RuleId) -> Diagnostic {
@@ -121,7 +133,11 @@ fn shipped_smoke_corpus_is_free_of_error_severity_diagnostics() {
 fn session(service: &PredictionService, input: &str, batch: usize) -> String {
     let mut out = Vec::new();
     service
-        .serve_lines(Cursor::new(input.as_bytes()), &mut out, batch)
+        .serve_session(
+            Cursor::new(input.as_bytes()),
+            &mut out,
+            &ServeConfig::classic(batch),
+        )
         .expect("session runs");
     String::from_utf8(out).expect("transcript is UTF-8")
 }
@@ -145,6 +161,9 @@ fn raw_source_predict_is_invariant_and_lint_sheds_into_the_ledger() {
     let reference = session(&service, &input, 8);
     let rows: Vec<&str> = reference.lines().collect();
     assert_eq!(rows.len(), 4, "{reference}");
+    // The whole transcript is pinned: the static label and margin, the
+    // lint message, and the stats line.
+    assert_eq!(reference, PINNED_SRC_TRANSCRIPT, "{reference}");
 
     // Clean source is admitted and answered with the static roofline
     // label — a pure function of (src, spec).

@@ -1,6 +1,8 @@
 //! Integration tests for the prediction service: the line protocol end
 //! to end, transcript invariance across admission batch sizes and cache
-//! bounds, and ledger balance.
+//! bounds, and ledger balance. A classic session whose jobs carry
+//! deadlines is pinned to an FNV digest, so the dispatch timing of the
+//! unbounded loop cannot drift unnoticed.
 //!
 //! Everything runs inside one `#[test]` so the `RAYON_NUM_THREADS` flip
 //! cannot race another test in this binary (same pattern as
@@ -9,12 +11,16 @@
 use std::io::Cursor;
 
 use parallel_code_estimation::core::caches::CacheBudget;
-use parallel_code_estimation::core::serve::{Command, Job, PredictionService};
+use parallel_code_estimation::core::serve::{Command, Job, PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::prompt::ShotStyle;
+use pce_memo::Fnv;
+
+/// Pinned digest of the deadlined `ServeConfig::classic(5)` session.
+const PINNED_CLASSIC_DEADLINES: u64 = 0x6eb1_9895_8bf1_e5a0;
 
 /// A small deterministic job mix over the smoke corpus: every job is a
-/// protocol line so the same bytes drive `serve_lines`.
+/// protocol line so the same bytes drive `serve_session`.
 fn job_lines(service: &PredictionService) -> Vec<String> {
     let programs = service.programs();
     let specs = ["rtx-3080", "h100-sxm", "mi250x", "epyc-9654"];
@@ -37,7 +43,11 @@ fn job_lines(service: &PredictionService) -> Vec<String> {
 fn session(service: &PredictionService, input: &str, batch: usize) -> String {
     let mut out = Vec::new();
     service
-        .serve_lines(Cursor::new(input.as_bytes()), &mut out, batch)
+        .serve_session(
+            Cursor::new(input.as_bytes()),
+            &mut out,
+            &ServeConfig::classic(batch),
+        )
         .expect("session runs");
     String::from_utf8(out).expect("transcript is UTF-8")
 }
@@ -103,6 +113,38 @@ fn serve_protocol_is_deterministic_bounded_and_ledger_balanced() {
     let got = session(&serial, &predict_only, 8);
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(reference, got, "serial transcript diverged");
+
+    // --- Classic dispatch while busy: every dispatched batch of 5 moves
+    // the virtual busy horizon 10 ms out, so depending on its deadline a
+    // later job expires at admission, expires at completion, or answers.
+    // The pin covers the answers only: no `stats` line, whose cache
+    // counters are not what this checks.
+    let deadlined: String = lines
+        .iter()
+        .enumerate()
+        .map(|(i, l)| format!("{l} deadline_ms={}\n", (i * 7) % 31))
+        .chain(["quit\n".to_string()])
+        .collect();
+    for threads in ["1", "4"] {
+        std::env::set_var("RAYON_NUM_THREADS", threads);
+        let service = PredictionService::new(study.clone(), None).expect("service builds");
+        let transcript = session(&service, &deadlined, 5);
+        std::env::remove_var("RAYON_NUM_THREADS");
+        assert!(service.ledger_balanced());
+        assert!(transcript.contains("expired at admission"), "{transcript}");
+        assert!(transcript.contains("during completion"), "{transcript}");
+        assert!(
+            transcript.lines().any(|l| l.starts_with("ok ")),
+            "{transcript}"
+        );
+        let mut h = Fnv::new();
+        h.str(&transcript);
+        assert_eq!(
+            h.finish(),
+            PINNED_CLASSIC_DEADLINES,
+            "threads={threads}: classic deadline transcript moved:\n{transcript}"
+        );
+    }
 
     // --- Bad jobs get err lines and never poison the batch around them.
     let mixed = "predict id=ok1 kernel=KER spec=rtx-3080 model=o3-mini shots=zero\n\

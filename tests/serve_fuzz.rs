@@ -172,7 +172,6 @@ proptest! {
             // deadline < 40 exercises admission/completion expiry; larger
             // values leave the default (no deadline) path in play too.
             default_deadline_ms: if deadline < 40 { Some(deadline) } else { None },
-            ..ServeConfig::default()
         };
         let transcript = run(service(), &lines, &config);
         let (want_responses, want_ids, quit) = expected(&lines);
@@ -206,7 +205,6 @@ proptest! {
             batch: 4,
             queue_depth: if depth == 0 { None } else { Some(depth) },
             default_deadline_ms: Some(30),
-            ..ServeConfig::default()
         };
         let transcript = run(chaotic_service(), &lines, &config);
         for line in transcript.lines() {

@@ -4,6 +4,10 @@
 //! `RAYON_NUM_THREADS`, at every queue depth, with and without wire
 //! chaos — and the extended ledger must balance globally and per model.
 //!
+//! Each transcript is also pinned to an FNV digest, so a change to the
+//! serving loop that reorders, reshapes or re-decides any response fails
+//! here even when it stays thread-invariant.
+//!
 //! Like `determinism.rs`, everything runs inside one `#[test]` because
 //! the vendored rayon re-reads `RAYON_NUM_THREADS` per call and the
 //! env-var flip must not race other tests in this binary.
@@ -14,6 +18,24 @@ use std::io::Cursor;
 use parallel_code_estimation::core::serve::{PredictionService, ServeConfig};
 use parallel_code_estimation::core::study::{ChaosConfig, Study};
 use parallel_code_estimation::fault::WireRates;
+use pce_memo::Fnv;
+
+/// Pinned transcript digests per (study, queue depth).
+const PINNED: [(&str, usize, u64); 6] = [
+    ("clean", 2, 0x2e67_082d_8d95_e792),
+    ("clean", 4, 0xd0ea_d1aa_7536_4b50),
+    ("clean", 8, 0x73a6_962b_2358_5424),
+    ("chaotic", 2, 0x7f65_534a_b71e_b6cc),
+    ("chaotic", 4, 0x4385_bf32_7dc4_43b9),
+    ("chaotic", 8, 0xb26b_4ad2_b0ca_d2a6),
+];
+
+/// FNV digest of a whole transcript.
+fn digest(transcript: &str) -> u64 {
+    let mut h = Fnv::new();
+    h.str(transcript);
+    h.finish()
+}
 
 /// The storm: 30 tightly-deadlined jobs over the smoke corpus, `drain`,
 /// three stragglers the draining server must shed, then `quit`.
@@ -125,6 +147,16 @@ fn storm_transcripts_are_byte_identical_and_ledgers_balance() {
             assert_eq!(
                 transcripts[0], transcripts[1],
                 "{label} depth={depth}: transcripts diverged across thread counts"
+            );
+            let pinned = PINNED
+                .iter()
+                .find(|(l, d, _)| *l == label && *d == depth)
+                .map(|p| p.2);
+            assert_eq!(
+                Some(digest(&transcripts[0])),
+                pinned,
+                "{label} depth={depth}: transcript digest moved:\n{}",
+                transcripts[0]
             );
         }
     }
