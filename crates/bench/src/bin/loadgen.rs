@@ -33,7 +33,7 @@
 
 use std::time::Instant;
 
-use pce_bench::{flag_value, study_from_args};
+use pce_bench::{flag_value, int_flag, or_exit, study_from_args};
 use pce_core::caches::CacheBudget;
 use pce_core::serve::{
     IdentityCheck, Job, PredictionService, ServeBenchReport, ServeConfig, StormReport, ThreadPoint,
@@ -57,32 +57,6 @@ impl Mix {
 
     fn pick<'a, T>(&mut self, items: &'a [T]) -> &'a T {
         &items[(self.next() % items.len() as u64) as usize]
-    }
-}
-
-fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    }
-}
-
-fn u64_flag(args: &[String], flag: &str, default: u64) -> u64 {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => match v.parse::<u64>() {
-            Ok(n) => n,
-            Err(_) => {
-                eprintln!("{flag} needs an integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
     }
 }
 
@@ -300,10 +274,10 @@ fn percentile(samples: &[f64], p: f64) -> f64 {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let study = study_from_args();
-    let jobs_n = usize_flag(&args, "--jobs", 120);
-    let seed = u64_flag(&args, "--seed", 0x10ad);
-    let batch = usize_flag(&args, "--batch", 24);
-    let cache_bytes = u64_flag(&args, "--cache-bytes", 256 * 1024);
+    let jobs_n = or_exit(int_flag(&args, "--jobs", 1)).unwrap_or(120);
+    let seed = or_exit(int_flag(&args, "--seed", 0)).unwrap_or(0x10ad);
+    let batch = or_exit(int_flag(&args, "--batch", 1)).unwrap_or(24);
+    let cache_bytes = or_exit(int_flag(&args, "--cache-bytes", 0)).unwrap_or(256 * 1024);
     let out = flag_value(&args, "--out")
         .map(str::to_string)
         .unwrap_or_else(|| "BENCH_serve.json".to_string());
@@ -389,7 +363,7 @@ fn main() {
             &study,
             &jobs,
             batch,
-            usize_flag(&args, "--queue-depth", 8),
+            or_exit(int_flag(&args, "--queue-depth", 1)).unwrap_or(8),
         ))
     } else {
         None

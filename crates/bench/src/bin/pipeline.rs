@@ -11,15 +11,14 @@
 //!
 //! Flags: `--smoke` (reduced base corpus — what CI runs), `--shard-size
 //! <n>` (default 512), `--cache-bytes <n>` (default 4 MiB per memo
-//! layer), `--out <path>` (default `BENCH_pipeline.json`).
+//! layer), `--out <path>` (default `BENCH_pipeline.json`). A size that is
+//! zero or not an integer exits 2.
 
-use std::time::Instant;
-
-use pce_bench::{flag_value, host_stamp, study_from_args, HostStamp};
+use pce_bench::{flag_value, host_stamp, int_flag, or_exit, study_from_args, HostStamp};
 use pce_dataset::run_pipeline_streamed_timed;
 use pce_gpu_sim::{CacheCounters, SimBudget, SimCaches};
 use pce_kernels::{CorpusSpec, VariantAxes};
-use pce_memo::DedupStats;
+use pce_memo::{DedupStats, StageTiming, Stages};
 
 /// The committed `BENCH_pipeline.json` baseline: the host it ran on,
 /// scale parameters, per-stage wall clock, dedup effectiveness, and
@@ -44,30 +43,18 @@ struct PipelineBenchReport {
     profile_cache: CacheCounters,
     /// Summary-cache counters after the run (bounded by `cache_bytes`).
     summary_cache: CacheCounters,
-    /// Per-stage wall clock.
-    stages: Vec<StageMs>,
-    /// End-to-end wall clock.
+    /// Per-stage wall clock, in stage order.
+    stages: Vec<StageTiming>,
+    /// End-to-end wall-clock milliseconds (never less than the stages'
+    /// sum).
     total_ms: f64,
-}
-
-/// One stage's wall-clock entry.
-#[derive(Debug, serde::Serialize, serde::Deserialize)]
-struct StageMs {
-    /// Stage name.
-    stage: String,
-    /// Wall-clock milliseconds.
-    wall_ms: f64,
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let study = study_from_args();
-    let shard_size = flag_value(&args, "--shard-size")
-        .and_then(|v| v.parse::<usize>().ok())
-        .unwrap_or(512);
-    let cache_bytes = flag_value(&args, "--cache-bytes")
-        .and_then(|v| v.parse::<u64>().ok())
-        .unwrap_or(4 * 1024 * 1024);
+    let shard_size = or_exit(int_flag(&args, "--shard-size", 1)).unwrap_or(512);
+    let cache_bytes = or_exit(int_flag(&args, "--cache-bytes", 1)).unwrap_or(4 * 1024 * 1024);
     let out = flag_value(&args, "--out").unwrap_or("BENCH_pipeline.json");
 
     let spec = CorpusSpec {
@@ -84,11 +71,11 @@ fn main() {
         cache_bytes,
     );
 
-    let start = Instant::now();
-    let (dataset, split, report, timings) =
+    let clock = Stages::start();
+    let (dataset, split, report, stages) =
         run_pipeline_streamed_timed(&spec, &study.pipeline, &caches, shard_size)
             .expect("streamed pipeline runs");
-    let total_ms = start.elapsed().as_secs_f64() * 1e3;
+    let total_ms = clock.elapsed() * 1e3;
 
     let profile = caches.profiles().counters();
     let summary = caches.summaries().counters();
@@ -116,13 +103,7 @@ fn main() {
         dedup: report.dedup,
         profile_cache: profile,
         summary_cache: summary,
-        stages: timings
-            .iter()
-            .map(|t| StageMs {
-                stage: t.stage.clone(),
-                wall_ms: t.seconds * 1e3,
-            })
-            .collect(),
+        stages,
         total_ms,
     };
     let rendered = serde_json::to_string_pretty(&bench).expect("bench report serializes");

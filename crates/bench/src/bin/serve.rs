@@ -40,7 +40,7 @@ use std::io::{BufReader, Write};
 use std::net::TcpListener;
 use std::sync::Arc;
 
-use pce_bench::{chaos_from_args, flag_value, study_from_args};
+use pce_bench::{chaos_from_args, flag_value, int_flag, or_exit, study_from_args};
 use pce_core::caches::CacheBudget;
 use pce_core::serve::{PredictionService, ServeConfig};
 
@@ -52,62 +52,20 @@ fn budget_from_args(args: &[String]) -> Option<CacheBudget> {
     if args.iter().any(|a| a == "--unbounded") {
         return None;
     }
-    let bytes = match flag_value(args, "--cache-bytes") {
-        None => DEFAULT_CACHE_BYTES,
-        Some(v) => match v.parse::<u64>() {
-            Ok(b) => b,
-            Err(_) => {
-                eprintln!("--cache-bytes needs an integer byte count, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    };
+    let bytes = or_exit(int_flag(args, "--cache-bytes", 0)).unwrap_or(DEFAULT_CACHE_BYTES);
     Some(CacheBudget::uniform(bytes))
-}
-
-fn usize_flag(args: &[String], flag: &str, default: usize) -> usize {
-    match flag_value(args, flag) {
-        None => default,
-        Some(v) => match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("{flag} needs a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        },
-    }
 }
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let mut study = study_from_args();
-    study.chaos = match chaos_from_args(&args) {
-        Ok(chaos) => chaos,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
-    let batch = usize_flag(&args, "--batch", 32);
+    study.chaos = or_exit(chaos_from_args(&args));
+    let batch = or_exit(int_flag(&args, "--batch", 1)).unwrap_or(32);
     let budget = budget_from_args(&args);
     let config = ServeConfig {
         batch,
-        queue_depth: flag_value(&args, "--queue-depth").map(|v| match v.parse::<usize>() {
-            Ok(n) if n > 0 => n,
-            _ => {
-                eprintln!("--queue-depth needs a positive integer, got '{v}'");
-                std::process::exit(2);
-            }
-        }),
-        default_deadline_ms: flag_value(&args, "--default-deadline-ms").map(|v| {
-            match v.parse::<u64>() {
-                Ok(n) => n,
-                Err(_) => {
-                    eprintln!("--default-deadline-ms needs an integer, got '{v}'");
-                    std::process::exit(2);
-                }
-            }
-        }),
+        queue_depth: or_exit(int_flag(&args, "--queue-depth", 1)),
+        default_deadline_ms: or_exit(int_flag(&args, "--default-deadline-ms", 0)),
     };
     let service = Arc::new(PredictionService::new(study, budget).expect("service builds"));
     eprintln!(

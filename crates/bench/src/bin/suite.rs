@@ -9,11 +9,10 @@
 //! class for its axis is rejected by name). Default is paper scale across
 //! the full preset catalog: every GPU preset × every CPU preset.
 //!
-//! `--timings [path]` additionally instruments the run: per-stage
-//! wall-clock and cache-hit counters are printed and written as JSON
-//! (default `BENCH_suite.json`) — the perf baseline future PRs measure
-//! against. The rendered reports are byte-identical with or without the
-//! flag.
+//! `--timings [path]` additionally reports the run's stage clock and
+//! cache-hit counters: printed, and written as JSON (default
+//! `BENCH_suite.json`) — the perf baseline future PRs measure against.
+//! The rendered reports are byte-identical with or without the flag.
 //!
 //! `--chaos <seed>` turns on deterministic fault injection against the
 //! surrogate engine (truncations, mangled answers, refusals, timeouts,
@@ -22,10 +21,13 @@
 //! failed responses land in a response ledger rendered with the reports —
 //! and the same seed reproduces the same faults byte-for-byte.
 
-use pce_bench::{chaos_from_args, parse_specs_of, study_from_args, timings_path_from_args};
+use pce_bench::{
+    chaos_from_args, or_exit, parse_specs_of, study_from_args, timings_path_from_args,
+};
 use pce_core::caches::SuiteCaches;
 use pce_core::report::{render_accounting_csv, render_flips_csv, render_suite, render_suite_csv};
-use pce_core::suite::{run_suite, run_suite_timed, Suite};
+use pce_core::suite::{run_suite, Suite, SuiteBench};
+use pce_core::Stages;
 use pce_roofline::{HardwareSpec, SpecClass};
 
 /// Resolve one axis flag (`--specs` / `--cpu-specs`) to a preset list, or
@@ -73,13 +75,7 @@ fn main() {
         HardwareSpec::cpu_presets(),
     );
     let mut base = study_from_args();
-    base.chaos = match chaos_from_args(&args) {
-        Ok(chaos) => chaos,
-        Err(e) => {
-            eprintln!("{e}");
-            std::process::exit(2);
-        }
-    };
+    base.chaos = or_exit(chaos_from_args(&args));
     let chaos_active = base.chaos.is_some();
     let suite = Suite {
         base,
@@ -87,31 +83,29 @@ fn main() {
         cpu_specs,
     };
 
-    let timings = timings_path_from_args(&args);
-    let run = match &timings {
-        None => run_suite(&suite, &SuiteCaches::new()),
-        Some(path) => run_suite_timed(&suite, &SuiteCaches::new()).map(|(outcome, bench)| {
-            match serde_json::to_string_pretty(&bench) {
-                Ok(json) => {
-                    if let Err(e) = std::fs::write(path, &json) {
-                        eprintln!("cannot write {path}: {e}");
-                        std::process::exit(2);
-                    }
-                    eprintln!("wrote {path}");
-                }
-                Err(e) => eprintln!("cannot serialize bench report: {e}"),
-            }
-            eprintln!("{}", bench.summary());
-            outcome
-        }),
-    };
-    let outcome = match run {
+    let caches = SuiteCaches::new();
+    let mut stages = Stages::start();
+    let outcome = match run_suite(&suite, &caches, &mut stages) {
         Ok(outcome) => outcome,
         Err(e) => {
             eprintln!("suite failed: {e}");
             std::process::exit(2);
         }
     };
+    if let Some(path) = timings_path_from_args(&args) {
+        let bench = SuiteBench::new(&suite, &outcome, &caches, &stages);
+        match serde_json::to_string_pretty(&bench) {
+            Ok(json) => {
+                if let Err(e) = std::fs::write(&path, &json) {
+                    eprintln!("cannot write {path}: {e}");
+                    std::process::exit(2);
+                }
+                eprintln!("wrote {path}");
+            }
+            Err(e) => eprintln!("cannot serialize bench report: {e}"),
+        }
+        eprintln!("{}", bench.summary());
+    }
 
     println!("{}", render_suite(&outcome));
     println!(

@@ -20,6 +20,9 @@
 //! default to the paper-scale study otherwise; `suite` also accepts
 //! `--specs <name,name,...>` to pick the hardware matrix rows.
 
+use std::fmt::Display;
+use std::str::FromStr;
+
 use pce_core::study::{ChaosConfig, Study};
 use pce_roofline::{HardwareSpec, SpecClass};
 
@@ -44,13 +47,10 @@ pub fn bench_study() -> Study {
 /// `BENCH_suite.json`). A following argument is treated as the path
 /// unless it looks like another flag.
 pub fn timings_path_from_args(args: &[String]) -> Option<String> {
-    let at = args.iter().position(|a| a == "--timings")?;
-    Some(
-        args.get(at + 1)
-            .filter(|a| !a.starts_with("--"))
-            .cloned()
-            .unwrap_or_else(|| "BENCH_suite.json".to_string()),
-    )
+    args.iter().any(|a| a == "--timings").then(|| {
+        let path = flag_value(args, "--timings");
+        path.unwrap_or("BENCH_suite.json").to_string()
+    })
 }
 
 /// The value following `flag`, when present and not itself a flag.
@@ -59,6 +59,33 @@ pub fn flag_value<'a>(args: &'a [String], flag: &str) -> Option<&'a str> {
     args.get(at + 1)
         .filter(|a| !a.starts_with("--"))
         .map(String::as_str)
+}
+
+/// The integer following `flag`: `Ok(None)` when the flag is absent, an
+/// error naming the flag when its value is missing or not an integer
+/// `≥ min`.
+pub fn int_flag<T: FromStr + PartialOrd + Display>(
+    args: &[String],
+    flag: &str,
+    min: T,
+) -> Result<Option<T>, String> {
+    match flag_value(args, flag) {
+        None if args.iter().any(|a| a == flag) => Err(format!("{flag} needs an integer >= {min}")),
+        None => Ok(None),
+        Some(v) => match v.parse::<T>() {
+            Ok(n) if n >= min => Ok(Some(n)),
+            _ => Err(format!("{flag} needs an integer >= {min}, got '{v}'")),
+        },
+    }
+}
+
+/// Unwrap a parsed flag, or print the error and exit 2 (the bins' usage
+/// error).
+pub fn or_exit<T>(parsed: Result<T, String>) -> T {
+    parsed.unwrap_or_else(|e| {
+        eprintln!("{e}");
+        std::process::exit(2)
+    })
 }
 
 /// Parse the chaos convention: `--chaos <seed>` switches fault injection
@@ -193,6 +220,28 @@ mod tests {
         );
         // Empty segments are skipped, an empty list parses to no specs.
         assert!(parse_specs(" , ,").unwrap().is_empty());
+    }
+
+    #[test]
+    fn int_flag_accepts_values_from_min_and_rejects_the_rest() {
+        let args = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        assert_eq!(
+            int_flag(&args(&["--batch", "8"]), "--batch", 1),
+            Ok(Some(8))
+        );
+        assert_eq!(
+            int_flag(&args(&["--seed", "0"]), "--seed", 0u64),
+            Ok(Some(0))
+        );
+        assert_eq!(int_flag(&args(&["--smoke"]), "--batch", 1), Ok(None));
+        for missing in [vec!["--batch"], vec!["--batch", "--smoke"]] {
+            let err = int_flag::<usize>(&args(&missing), "--batch", 1).unwrap_err();
+            assert_eq!(err, "--batch needs an integer >= 1");
+        }
+        for bad in ["0", "abc", "-3", "1.5"] {
+            let err = int_flag::<usize>(&args(&["--batch", bad]), "--batch", 1).unwrap_err();
+            assert_eq!(err, format!("--batch needs an integer >= 1, got '{bad}'"));
+        }
     }
 
     #[test]

@@ -43,6 +43,7 @@ pub mod suite;
 pub mod table1;
 
 pub use caches::{CacheBudget, CacheReport, SuiteCaches};
+pub use pce_memo::{StageTiming, Stages};
 pub use serve::{Command, Job, PredictionService};
 pub use study::{ChaosConfig, Study, StudyData};
-pub use suite::{run_suite, run_suite_timed, CellOutcome, Suite, SuiteBench, SuiteOutcome};
+pub use suite::{run_suite, CellOutcome, Suite, SuiteBench, SuiteOutcome};

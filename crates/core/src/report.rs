@@ -423,7 +423,9 @@ mod tests {
             pce_roofline::HardwareSpec::rtx_3080(),
             pce_roofline::HardwareSpec::a100(),
         ]);
-        let outcome = crate::suite::run_suite(&suite, &crate::caches::SuiteCaches::new()).unwrap();
+        let caches = crate::caches::SuiteCaches::new();
+        let outcome =
+            crate::suite::run_suite(&suite, &caches, &mut crate::Stages::start()).unwrap();
 
         let md = render_suite(&outcome);
         for s in outcome.completed() {

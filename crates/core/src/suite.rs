@@ -26,7 +26,6 @@
 //! byte-identically under any `RAYON_NUM_THREADS`.
 
 use std::collections::{BTreeMap, BTreeSet};
-use std::time::Instant;
 
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
@@ -34,6 +33,7 @@ use serde::{Deserialize, Serialize};
 use pce_dataset::{run_pipeline_cached, tokenize_corpus, PipelineReport, TokenizedCorpus};
 use pce_fault::{PceError, ResponseAccounting};
 use pce_kernels::{build_corpus, Language, Program};
+use pce_memo::{StageTiming, Stages};
 use pce_roofline::{Boundedness, HardwareSpec, SpecClass, SpecPair};
 
 use crate::caches::{CacheReport, SuiteCaches};
@@ -149,30 +149,22 @@ impl SharedBuild {
     /// cache bundle (the RQ1 bank routes its prompt parsing through the
     /// bundle's caches). Fails only when corpus generation does.
     pub fn build_cached(suite: &Suite, caches: &SuiteCaches) -> Result<SharedBuild, PceError> {
-        SharedBuild::build_instrumented(suite, caches, &mut |_, _| {})
+        SharedBuild::build(suite, caches, &mut Stages::start())
     }
 
-    /// The one shared-build implementation: both the plain and the timed
-    /// suite runners go through here, so the stage sequence cannot
-    /// silently diverge between them. `stage` observes each completed
-    /// stage (name, start instant).
-    fn build_instrumented(
+    /// The one shared-build implementation, lapping `corpus`, `tokenize`
+    /// and `rq1-bank` on `stages`.
+    fn build(
         suite: &Suite,
         caches: &SuiteCaches,
-        stage: &mut dyn FnMut(&'static str, Instant),
+        stages: &mut Stages,
     ) -> Result<SharedBuild, PceError> {
-        let t = Instant::now();
         let corpus = build_corpus(&suite.base.corpus)?;
-        stage("corpus", t);
-
-        let t = Instant::now();
+        stages.lap("corpus");
         let tokenized = tokenize_corpus(&corpus, &suite.base.pipeline);
-        stage("tokenize", t);
-
-        let t = Instant::now();
+        stages.lap("tokenize");
         let rq1 = Rq1Bank::build_cached(&suite.base, &caches.llm);
-        stage("rq1-bank", t);
-
+        stages.lap("rq1-bank");
         Ok(SharedBuild {
             corpus,
             tokenized,
@@ -392,12 +384,20 @@ impl SuiteOutcome {
 /// profiles and analyses, and warm and cold bundles produce
 /// byte-identical outcomes.
 ///
+/// `stages` laps `corpus`, `tokenize`, `rq1-bank`, `spec-eval` and
+/// `flip-analysis`, in that order; the clock never changes the outcome.
+///
 /// Fails with [`PceError::Spec`] only when an axis is empty; any
 /// *per-cell* problem (a misclassed spec, chaos exhausting every retry)
 /// degrades that cell to [`CellOutcome::Failed`] instead.
-pub fn run_suite(suite: &Suite, caches: &SuiteCaches) -> Result<SuiteOutcome, PceError> {
-    let shared = SharedBuild::build_cached(suite, caches)?;
-    run_suite_shared_cached(suite, &shared, caches)
+pub fn run_suite(
+    suite: &Suite,
+    caches: &SuiteCaches,
+    stages: &mut Stages,
+) -> Result<SuiteOutcome, PceError> {
+    validate_axes(suite)?;
+    let shared = SharedBuild::build(suite, caches, stages)?;
+    Ok(evaluate(suite, &shared, caches, stages))
 }
 
 /// Run the suite against an existing [`SharedBuild`] and a shared cache
@@ -408,9 +408,22 @@ pub fn run_suite_shared_cached(
     caches: &SuiteCaches,
 ) -> Result<SuiteOutcome, PceError> {
     validate_axes(suite)?;
+    Ok(evaluate(suite, shared, caches, &mut Stages::start()))
+}
+
+/// Every cell, then the flip analysis, lapping `spec-eval` and
+/// `flip-analysis` on `stages`.
+fn evaluate(
+    suite: &Suite,
+    shared: &SharedBuild,
+    caches: &SuiteCaches,
+    stages: &mut Stages,
+) -> SuiteOutcome {
     let cells = run_specs(suite, shared, caches);
+    stages.lap("spec-eval");
     let flips = analyze_flips(suite, &shared.corpus, &cells);
-    Ok(SuiteOutcome { cells, flips })
+    stages.lap("flip-analysis");
+    SuiteOutcome { cells, flips }
 }
 
 /// The only suite-fatal configuration problem: an empty axis leaves no
@@ -498,16 +511,6 @@ fn run_specs(suite: &Suite, shared: &SharedBuild, caches: &SuiteCaches) -> Vec<C
         .collect()
 }
 
-/// Wall-clock of one suite stage, as serialized into `BENCH_suite.json`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage name (`corpus`, `tokenize`, `rq1-bank`, `spec-eval`,
-    /// `flip-analysis`).
-    pub stage: String,
-    /// Wall-clock milliseconds spent in the stage.
-    pub wall_ms: f64,
-}
-
 /// The suite's performance report: per-stage wall-clock plus the cache
 /// bundle's hit/miss counters. Written as `BENCH_suite.json` by the
 /// `suite` bin under `--timings`.
@@ -523,7 +526,8 @@ pub struct SuiteBench {
     pub models_per_spec: usize,
     /// Per-stage wall-clock, in execution order.
     pub stages: Vec<StageTiming>,
-    /// End-to-end wall-clock milliseconds (stages plus glue).
+    /// End-to-end wall-clock milliseconds on the same clock as `stages`
+    /// (so never less than their sum).
     pub total_ms: f64,
     /// Cache effectiveness across every layer.
     pub caches: CacheReport,
@@ -533,6 +537,26 @@ pub struct SuiteBench {
 }
 
 impl SuiteBench {
+    /// The report of one [`run_suite`] call: its clock's laps and elapsed
+    /// time, plus the bundle's counters and the outcome's ledger.
+    pub fn new(
+        suite: &Suite,
+        outcome: &SuiteOutcome,
+        caches: &SuiteCaches,
+        stages: &Stages,
+    ) -> SuiteBench {
+        SuiteBench {
+            specs: suite.specs.len(),
+            cpu_specs: suite.cpu_specs.len(),
+            cells: suite.specs.len() * suite.cpu_specs.len(),
+            models_per_spec: pce_llm::model_zoo().len(),
+            stages: stages.laps().to_vec(),
+            total_ms: stages.elapsed() * 1e3,
+            caches: caches.report(),
+            accounting: outcome.accounting(),
+        }
+    }
+
     /// Render a compact human-readable summary (one line per stage, then
     /// per cache).
     pub fn summary(&self) -> String {
@@ -542,7 +566,11 @@ impl SuiteBench {
             self.specs, self.cpu_specs, self.cells, self.models_per_spec, self.total_ms
         ));
         for s in &self.stages {
-            out.push_str(&format!("  stage {:<14} {:>10.1} ms\n", s.stage, s.wall_ms));
+            out.push_str(&format!(
+                "  stage {:<14} {:>10.1} ms\n",
+                s.stage,
+                s.seconds * 1e3
+            ));
         }
         let c = &self.caches;
         for (name, counters) in [
@@ -570,51 +598,6 @@ impl SuiteBench {
         }
         out
     }
-}
-
-/// Run the whole suite with stage-level timing instrumentation.
-///
-/// The outcome is byte-identical to [`run_suite`] on the same
-/// bundle; the accompanying [`SuiteBench`] carries per-stage wall-clock
-/// and the bundle's cache counters.
-pub fn run_suite_timed(
-    suite: &Suite,
-    caches: &SuiteCaches,
-) -> Result<(SuiteOutcome, SuiteBench), PceError> {
-    validate_axes(suite)?;
-    let t_total = Instant::now();
-    let mut stages = Vec::new();
-    let mut stage = |name: &str, t: Instant| {
-        stages.push(StageTiming {
-            stage: name.to_string(),
-            wall_ms: t.elapsed().as_secs_f64() * 1e3,
-        });
-    };
-
-    // Exactly the untimed pipeline, observed: the shared build and the
-    // spec evaluation are the same functions run_suite composes.
-    let shared = SharedBuild::build_instrumented(suite, caches, &mut stage)?;
-
-    let t = Instant::now();
-    let cells = run_specs(suite, &shared, caches);
-    stage("spec-eval", t);
-
-    let t = Instant::now();
-    let flips = analyze_flips(suite, &shared.corpus, &cells);
-    stage("flip-analysis", t);
-
-    let outcome = SuiteOutcome { cells, flips };
-    let bench = SuiteBench {
-        specs: suite.specs.len(),
-        cpu_specs: suite.cpu_specs.len(),
-        cells: suite.specs.len() * suite.cpu_specs.len(),
-        models_per_spec: pce_llm::model_zoo().len(),
-        stages,
-        total_ms: t_total.elapsed().as_secs_f64() * 1e3,
-        caches: caches.report(),
-        accounting: outcome.accounting(),
-    };
-    Ok((outcome, bench))
 }
 
 /// Cross-spec label comparison plus flip-tracking accuracy, one section
@@ -770,6 +753,11 @@ fn analyze_flips(suite: &Suite, corpus: &[Program], cells: &[CellOutcome]) -> Fl
 mod tests {
     use super::*;
 
+    /// A run on fresh caches, its clock unread.
+    fn run_cold(suite: &Suite) -> Result<SuiteOutcome, PceError> {
+        run_suite(suite, &SuiteCaches::new(), &mut Stages::start())
+    }
+
     fn shrink(suite: &mut Suite) {
         // The structure, not the scale, is under test.
         suite.base.corpus.cuda_programs = 90;
@@ -797,7 +785,7 @@ mod tests {
     #[test]
     fn suite_produces_one_outcome_per_cell_in_gpu_major_order() {
         let suite = tiny_matrix_suite();
-        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         assert_eq!(outcome.completed().len(), 4);
         assert!(outcome.failures().is_empty());
         let cells = suite.cells();
@@ -832,7 +820,7 @@ mod tests {
         // The 3080's 1/64-rate DP pipes put its DP ridge at ~0.6 flop/B;
         // the MI250X's full-rate DP over 3.2 TB/s sits at ~14.6. Any
         // DP-heavy CUDA kernel in between must flip.
-        let outcome = run_suite(&tiny_suite(), &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&tiny_suite()).unwrap();
         let cuda = outcome.flips.language(Language::Cuda).unwrap();
         assert!(
             cuda.flipping > 0,
@@ -857,7 +845,7 @@ mod tests {
             vec![HardwareSpec::epyc_9654(), HardwareSpec::xeon_8480p()],
         );
         shrink(&mut suite);
-        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         let omp = outcome.flips.language(Language::Omp).unwrap();
         assert!(
             omp.flipping > 0,
@@ -873,7 +861,7 @@ mod tests {
 
     #[test]
     fn flip_analysis_counts_are_consistent() {
-        let outcome = run_suite(&tiny_matrix_suite(), &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&tiny_matrix_suite()).unwrap();
         let mut total = 0;
         for section in &outcome.flips.by_language {
             let recount = section.kernels.iter().filter(|k| k.flips()).count();
@@ -895,10 +883,10 @@ mod tests {
     #[test]
     fn warm_and_cold_bundles_produce_identical_outcomes() {
         let suite = tiny_suite();
-        let cold = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let cold = run_cold(&suite).unwrap();
         let caches = SuiteCaches::new();
-        let warm_first = run_suite(&suite, &caches).unwrap();
-        let warm_second = run_suite(&suite, &caches).unwrap();
+        let warm_first = run_suite(&suite, &caches, &mut Stages::start()).unwrap();
+        let warm_second = run_suite(&suite, &caches, &mut Stages::start()).unwrap();
         assert_eq!(cold, warm_first, "cold vs first cached run");
         assert_eq!(cold, warm_second, "cold vs fully-warm rerun");
         // The rerun must have been served from the profile memo and the
@@ -913,8 +901,10 @@ mod tests {
     fn timed_run_matches_untimed_and_reports_stages() {
         let suite = tiny_matrix_suite();
         let caches = SuiteCaches::new();
-        let (outcome, bench) = run_suite_timed(&suite, &caches).unwrap();
-        assert_eq!(outcome, run_suite(&suite, &SuiteCaches::new()).unwrap());
+        let mut stages = Stages::start();
+        let outcome = run_suite(&suite, &caches, &mut stages).unwrap();
+        let bench = SuiteBench::new(&suite, &outcome, &caches, &stages);
+        assert_eq!(outcome, run_cold(&suite).unwrap());
         assert_eq!(bench.specs, suite.specs.len());
         assert_eq!(bench.cpu_specs, suite.cpu_specs.len());
         assert_eq!(bench.cells, outcome.completed().len());
@@ -931,8 +921,8 @@ mod tests {
                 "flip-analysis"
             ]
         );
-        assert!(bench.stages.iter().all(|s| s.wall_ms >= 0.0));
-        assert!(bench.total_ms >= bench.stages.iter().map(|s| s.wall_ms).sum::<f64>() * 0.99);
+        assert!(bench.stages.iter().all(|s| s.seconds >= 0.0));
+        assert!(bench.total_ms >= bench.stages.iter().map(|s| s.seconds).sum::<f64>() * 1e3);
         // Both shot styles × every cell rendered once per sample.
         let expected: usize = outcome
             .completed()
@@ -984,7 +974,7 @@ mod tests {
         // flip analysis drops the dead axis entry.
         let mut suite = tiny_suite();
         suite.cpu_specs = vec![HardwareSpec::epyc_9654(), HardwareSpec::rtx_3080()];
-        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         assert_eq!(outcome.cells.len(), 4);
         assert_eq!(outcome.completed().len(), 2);
         let failures = outcome.failures();
@@ -1005,7 +995,7 @@ mod tests {
     fn chaos_suite_completes_every_cell_with_a_balanced_ledger() {
         let mut suite = tiny_suite();
         suite.base.chaos = Some(crate::study::ChaosConfig::uniform(42, 0.1));
-        let outcome = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let outcome = run_cold(&suite).unwrap();
         // A 10% fault rate recovers through retries; no cell dies.
         assert_eq!(outcome.completed().len(), outcome.cells.len());
         let acc = outcome.accounting();
@@ -1016,7 +1006,7 @@ mod tests {
             assert!(s.table.accounting().balanced());
         }
         // The same seed reproduces the ledger exactly.
-        let again = run_suite(&suite, &SuiteCaches::new()).unwrap();
+        let again = run_cold(&suite).unwrap();
         assert_eq!(outcome, again);
     }
 
@@ -1024,13 +1014,13 @@ mod tests {
     fn empty_axes_are_suite_fatal() {
         let mut suite = tiny_suite();
         suite.cpu_specs.clear();
-        let err = run_suite(&suite, &SuiteCaches::new()).unwrap_err();
+        let err = run_cold(&suite).unwrap_err();
         assert_eq!(
             err.to_string(),
             "invalid spec: suite needs at least one CPU spec"
         );
         suite.specs.clear();
-        let err = run_suite(&suite, &SuiteCaches::new()).unwrap_err();
+        let err = run_cold(&suite).unwrap_err();
         assert!(err.to_string().contains("at least one GPU spec"));
     }
 }

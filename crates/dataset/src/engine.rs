@@ -10,7 +10,6 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, HashSet};
-use std::time::Instant;
 
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
@@ -20,7 +19,7 @@ use rayon::prelude::*;
 use pce_fault::PceError;
 use pce_gpu_sim::{Profiler, SimCaches};
 use pce_kernels::{CorpusSpec, Language, Program};
-use pce_memo::{Fnv, StreamDedup};
+use pce_memo::{Fnv, Stages, StreamDedup};
 use pce_roofline::{classify_joint, Boundedness, HardwareSpec, OpCounts, SpecClass, SpecPair};
 use pce_tokenizer::{token_quartiles, Tokenizer};
 
@@ -91,8 +90,8 @@ pub(crate) fn check_specs(specs: &SpecPair) -> Result<(), PceError> {
     }
 }
 
-/// Run the funnel over `input` in shards of `shard_size` programs.
-/// `stage` observes each completed stage (name, start instant).
+/// Run the funnel over `input` in shards of `shard_size` programs,
+/// lapping `stages` at the end of each stage.
 ///
 /// Fails on an invalid spec pair, or when a spec shard fails to
 /// regenerate; a borrowed corpus fails only on the former.
@@ -101,7 +100,7 @@ pub(crate) fn run(
     cfg: &PipelineConfig,
     caches: &SimCaches,
     shard_size: usize,
-    stage: &mut dyn FnMut(&'static str, Instant),
+    stages: &mut Stages,
 ) -> Result<(Dataset, Split, PipelineReport), PceError> {
     check_specs(&cfg.specs)?;
     let gpu = Profiler::new(cfg.specs.gpu.clone()).with_caches(caches.clone());
@@ -115,7 +114,6 @@ pub(crate) fn run(
     let shard_size = shard_size.max(1);
 
     // --- Rows: profile + label + fingerprint per shard (parallel) --------
-    let t = Instant::now();
     let bounds: Vec<(usize, usize)> = (0..total)
         .step_by(shard_size)
         .map(|s| (s, (s + shard_size).min(total)))
@@ -178,15 +176,13 @@ pub(crate) fn run(
         Input::Corpus(corpus, tokenized) => tokenized.hazards(corpus).clone(),
         Input::Spec(..) => audit.into_counts(),
     };
-    stage("shard-profile", t);
+    stages.lap("shard-profile");
 
     // --- Select: prune → balance → split on rows --------------------------
-    let t = Instant::now();
     let selection = select_and_balance(metas, cfg);
-    stage("select-balance", t);
+    stages.lap("select-balance");
 
     // --- Materialize the selected rows (parallel) -------------------------
-    let t = Instant::now();
     let chosen: Vec<&SampleMeta> = selection
         .train
         .iter()
@@ -203,7 +199,7 @@ pub(crate) fn run(
     let validation = train.split_off(selection.train.len());
     let mut balanced = [train.as_slice(), &validation].concat();
     balanced.sort_unstable_by(|a, b| a.id.cmp(&b.id));
-    stage("materialize", t);
+    stages.lap("materialize");
 
     let report = PipelineReport {
         built: selection.built,

@@ -24,10 +24,11 @@ pub mod sample;
 pub mod stats;
 pub mod stream;
 
+pub use pce_memo::StageTiming;
 pub use pipeline::{
     run_pipeline, run_pipeline_cached, tokenize_corpus, Dataset, PipelineConfig, PipelineReport,
     Split, TokenizedCorpus,
 };
 pub use sample::Sample;
 pub use stats::{combo_counts, fig2_stats, Fig2Row};
-pub use stream::{run_pipeline_streamed, run_pipeline_streamed_timed, StageTiming};
+pub use stream::{run_pipeline_streamed, run_pipeline_streamed_timed};

@@ -7,7 +7,7 @@ use std::sync::OnceLock;
 use pce_fault::PceError;
 use pce_gpu_sim::SimCaches;
 use pce_kernels::Program;
-use pce_memo::DedupStats;
+use pce_memo::{DedupStats, Stages};
 use pce_roofline::{Boundedness, SpecPair};
 use pce_tokenizer::{token_quartiles, BpeTrainer, TokenStats, Tokenizer};
 
@@ -215,11 +215,12 @@ pub fn run_pipeline(corpus: &[Program], cfg: &PipelineConfig) -> (Dataset, Split
 /// profiler cache bundle. Bit-identical to [`run_pipeline`].
 ///
 /// This is the sharded engine of
-/// [`run_pipeline_streamed`](crate::run_pipeline_streamed) over the
-/// borrowed corpus, one contiguous shard per rayon worker. Profiles are
-/// memoized per (kernel, launch, *routed* spec) and body summaries across
-/// specs, so a cross-hardware suite folds each kernel exactly once; the
-/// hazard audit comes from `tokenized`, computed on its first use.
+/// [`run_pipeline_streamed_timed`](crate::run_pipeline_streamed_timed)
+/// over the borrowed corpus, one contiguous shard per rayon worker.
+/// Profiles are memoized per (kernel, launch, *routed* spec) and body
+/// summaries across specs, so a cross-hardware suite folds each kernel
+/// exactly once; the hazard audit comes from `tokenized`, computed on its
+/// first use.
 ///
 /// # Panics
 /// Panics when `tokenized` was built from a different corpus (length
@@ -241,7 +242,7 @@ pub fn run_pipeline_cached(
         cfg,
         caches,
         shard_size,
-        &mut |_, _| {},
+        &mut Stages::start(),
     )
     .expect("a borrowed corpus fails only on an invalid spec pair")
 }

@@ -1,6 +1,6 @@
 //! The sharded, bounded-memory streaming pipeline.
 //!
-//! [`run_pipeline_streamed`] runs the same engine as
+//! [`run_pipeline_streamed_timed`] runs the same engine as
 //! [`run_pipeline_cached`](crate::run_pipeline_cached), but never
 //! materializes the corpus: programs are regenerated per shard from a
 //! [`CorpusSpec`] (generation is random-access — any index rebuilds from
@@ -8,7 +8,7 @@
 //! `O(shard_size × rayon threads)` programs plus one small row per
 //! program and the final dataset, instead of `O(corpus)` samples.
 //!
-//! Stages:
+//! Stages, each one lap of a [`Stages`] clock:
 //!
 //! 1. **tokenize-train** — train the BPE tokenizer on every
 //!    `tokenizer_stride`-th source, the subsample
@@ -27,57 +27,25 @@
 //! `spec.stream().collect()`, for every shard size and
 //! `RAYON_NUM_THREADS` — pinned by the root `pipeline_stream` test.
 
-use serde::{Deserialize, Serialize};
-use std::time::Instant;
-
 use pce_fault::PceError;
 use pce_gpu_sim::SimCaches;
 use pce_kernels::CorpusSpec;
+use pce_memo::{StageTiming, Stages};
 use pce_tokenizer::{BpeTrainer, Tokenizer};
 
 use crate::engine::{self, Input};
 use crate::pipeline::{Dataset, PipelineConfig, PipelineReport, Split};
 
-/// Wall-clock of one streamed-pipeline stage, for the bench baseline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StageTiming {
-    /// Stage name (`tokenize-train`, `shard-profile`, `select-balance`,
-    /// `materialize`).
-    pub stage: String,
-    /// Elapsed seconds.
-    pub seconds: f64,
-}
-
-impl StageTiming {
-    fn new(stage: &str, elapsed: std::time::Duration) -> StageTiming {
-        StageTiming {
-            stage: stage.to_string(),
-            seconds: elapsed.as_secs_f64(),
-        }
-    }
-}
-
 /// Run the full pipeline over a (possibly variant-expanded) corpus spec
-/// as a sharded stream with bounded memory.
+/// as a sharded stream with bounded memory, returning the four stage laps
+/// (`tokenize-train`, `shard-profile`, `select-balance`, `materialize`)
+/// alongside the dataset.
 ///
 /// Byte-identical to materializing `spec.stream()` and running
 /// [`run_pipeline_cached`](crate::run_pipeline_cached), for any
 /// `shard_size ≥ 1` and any rayon thread count. The shared `caches` carry
 /// profile memos across shards (and across calls — re-streaming the same
 /// spec profiles zero new kernels).
-pub fn run_pipeline_streamed(
-    spec: &CorpusSpec,
-    cfg: &PipelineConfig,
-    caches: &SimCaches,
-    shard_size: usize,
-) -> Result<(Dataset, Split, PipelineReport), PceError> {
-    let (dataset, split, report, _) = run_pipeline_streamed_timed(spec, cfg, caches, shard_size)?;
-    Ok((dataset, split, report))
-}
-
-/// [`run_pipeline_streamed`], additionally reporting per-stage wall-clock
-/// timings (consumed by the `pipeline` bench bin's `BENCH_pipeline.json`
-/// baseline).
 pub fn run_pipeline_streamed_timed(
     spec: &CorpusSpec,
     cfg: &PipelineConfig,
@@ -85,10 +53,9 @@ pub fn run_pipeline_streamed_timed(
     shard_size: usize,
 ) -> Result<(Dataset, Split, PipelineReport, Vec<StageTiming>), PceError> {
     engine::check_specs(&cfg.specs)?;
-    let mut timings = Vec::with_capacity(4);
+    let mut stages = Stages::start();
 
     // --- Stage 1: tokenizer training (stride subsample, streamed) --------
-    let t = Instant::now();
     let stride = cfg.tokenizer_stride.max(1);
     let training_docs = (0..spec.len())
         .step_by(stride)
@@ -98,7 +65,7 @@ pub fn run_pipeline_streamed_timed(
         BpeTrainer::new(cfg.tokenizer_vocab).train(training_docs.iter().map(|s| s.as_str()));
     let tokenizer = Tokenizer::new(vocab);
     drop(training_docs);
-    timings.push(StageTiming::new("tokenize-train", t.elapsed()));
+    stages.lap("tokenize-train");
 
     // --- Stages 2-4: the sharded engine ----------------------------------
     let (dataset, split, report) = engine::run(
@@ -106,9 +73,22 @@ pub fn run_pipeline_streamed_timed(
         cfg,
         caches,
         shard_size,
-        &mut |stage, t| timings.push(StageTiming::new(stage, t.elapsed())),
+        &mut stages,
     )?;
-    Ok((dataset, split, report, timings))
+    Ok((dataset, split, report, stages.into_laps()))
+}
+
+/// [`run_pipeline_streamed_timed`] without its laps. Nothing in this
+/// workspace calls it; `perfbench/tests/selftest.rs` does, so it goes when
+/// that call moves to the timed entry point.
+pub fn run_pipeline_streamed(
+    spec: &CorpusSpec,
+    cfg: &PipelineConfig,
+    caches: &SimCaches,
+    shard_size: usize,
+) -> Result<(Dataset, Split, PipelineReport), PceError> {
+    let (dataset, split, report, _) = run_pipeline_streamed_timed(spec, cfg, caches, shard_size)?;
+    Ok((dataset, split, report))
 }
 
 #[cfg(test)]
@@ -137,6 +117,30 @@ mod tests {
         }
     }
 
+    /// The streamed pipeline, its laps checked: the four stages, in order,
+    /// none negative.
+    fn run_streamed(
+        spec: &CorpusSpec,
+        cfg: &PipelineConfig,
+        caches: &SimCaches,
+        shard_size: usize,
+    ) -> Result<(Dataset, Split, PipelineReport), PceError> {
+        let (dataset, split, report, laps) =
+            run_pipeline_streamed_timed(spec, cfg, caches, shard_size)?;
+        let names: Vec<&str> = laps.iter().map(|l| l.stage.as_str()).collect();
+        assert_eq!(
+            names,
+            [
+                "tokenize-train",
+                "shard-profile",
+                "select-balance",
+                "materialize"
+            ]
+        );
+        assert!(laps.iter().all(|l| l.seconds >= 0.0));
+        Ok((dataset, split, report))
+    }
+
     #[test]
     fn streamed_matches_materialized_for_identity_and_expanded_specs() {
         for axes in [
@@ -158,8 +162,8 @@ mod tests {
             let eager = run_pipeline_cached(&corpus, &tokenized, &c, &eager_caches);
             for shard_size in [1, 17, 1_000_000] {
                 let caches = SimCaches::new();
-                let streamed = run_pipeline_streamed(&spec, &c, &caches, shard_size)
-                    .expect("streamed pipeline runs");
+                let streamed =
+                    run_streamed(&spec, &c, &caches, shard_size).expect("streamed pipeline runs");
                 assert_eq!(eager, streamed, "shard_size={shard_size}");
             }
         }
@@ -169,8 +173,7 @@ mod tests {
     fn corpus_hazard_audit_is_error_clean() {
         let spec = small_spec(VariantAxes::none());
         let caches = SimCaches::new();
-        let (_, _, report) =
-            run_pipeline_streamed(&spec, &cfg(), &caches, 64).expect("pipeline runs");
+        let (_, _, report) = run_streamed(&spec, &cfg(), &caches, 64).expect("pipeline runs");
         // Generated kernels may legitimately carry warning-severity
         // hazards (serialized accumulators, strided subscripts) but must
         // never ship an error-severity one (races, missing barriers).
@@ -192,8 +195,7 @@ mod tests {
             ..VariantAxes::none()
         });
         let caches = SimCaches::new();
-        let (_, _, report) =
-            run_pipeline_streamed(&spec, &cfg(), &caches, 64).expect("pipeline runs");
+        let (_, _, report) = run_streamed(&spec, &cfg(), &caches, 64).expect("pipeline runs");
         // Unroll variants change only the source text, so 2/3 of the
         // corpus dedups onto the base programs' profiles.
         assert_eq!(report.dedup.total() as usize, spec.len());
@@ -212,9 +214,9 @@ mod tests {
             ..VariantAxes::none()
         });
         let caches = SimCaches::new();
-        let first = run_pipeline_streamed(&spec, &cfg(), &caches, 32).expect("first pass runs");
+        let first = run_streamed(&spec, &cfg(), &caches, 32).expect("first pass runs");
         let misses_after_first = caches.profiles().counters().misses;
-        let second = run_pipeline_streamed(&spec, &cfg(), &caches, 32).expect("second pass runs");
+        let second = run_streamed(&spec, &cfg(), &caches, 32).expect("second pass runs");
         assert_eq!(
             caches.profiles().counters().misses,
             misses_after_first,
@@ -227,27 +229,8 @@ mod tests {
     fn invalid_spec_pair_is_a_typed_error() {
         let mut c = cfg();
         c.specs.cpu = c.specs.gpu.clone();
-        let err = run_pipeline_streamed(&small_spec(VariantAxes::none()), &c, &SimCaches::new(), 8)
+        let err = run_streamed(&small_spec(VariantAxes::none()), &c, &SimCaches::new(), 8)
             .expect_err("mismatched spec classes must be rejected");
         assert_eq!(err.kind(), "spec");
-    }
-
-    #[test]
-    fn stage_timings_name_every_stage() {
-        let caches = SimCaches::new();
-        let (_, _, _, timings) =
-            run_pipeline_streamed_timed(&small_spec(VariantAxes::none()), &cfg(), &caches, 16)
-                .expect("pipeline runs");
-        let names: Vec<&str> = timings.iter().map(|t| t.stage.as_str()).collect();
-        assert_eq!(
-            names,
-            [
-                "tokenize-train",
-                "shard-profile",
-                "select-balance",
-                "materialize"
-            ]
-        );
-        assert!(timings.iter().all(|t| t.seconds >= 0.0));
     }
 }

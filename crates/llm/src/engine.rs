@@ -167,26 +167,7 @@ impl SurrogateEngine {
         let eff_seed = attempt_seed(seed, attempt);
         let mut rng = NoiseStream::new(&spec.name, prompt_fp, eff_seed, sampling);
 
-        let (clean, trace) = if is_rq1_prompt(prompt) {
-            self.answer_rq1(spec, prompt, prompt_fp, &mut rng)
-        } else {
-            let parsed = self.caches.classify_fp(prompt, prompt_fp);
-            match parsed.as_ref() {
-                Some(p) => self.answer_classify(spec, p, prompt, &mut rng),
-                None => {
-                    // Unrecognized prompt: fall back to the model's prior.
-                    let answer = if spec.caps.bias_bandwidth {
-                        Boundedness::Bandwidth
-                    } else {
-                        Boundedness::Compute
-                    };
-                    (
-                        answer.answer_token().to_string(),
-                        Some("prior-only guess".to_string()),
-                    )
-                }
-            }
-        };
+        let (clean, trace) = self.answer(spec, prompt, prompt_fp, &mut rng);
 
         // Body-level faults corrupt the clean answer but are still billed:
         // a truncated or refused hosted response costs real tokens.
@@ -318,6 +299,28 @@ impl SurrogateEngine {
         }
     }
 
+    /// The one answer path: RQ1 prompts, parsed classification prompts,
+    /// and the model's prior for anything unrecognized. Returns the clean
+    /// answer text and its trace.
+    fn answer(
+        &self,
+        spec: &ModelSpec,
+        prompt: &str,
+        prompt_fp: u64,
+        rng: &mut NoiseStream,
+    ) -> (String, Option<String>) {
+        if is_rq1_prompt(prompt) {
+            return self.answer_rq1(spec, prompt, prompt_fp, rng);
+        }
+        match self.caches.classify_fp(prompt, prompt_fp).as_ref() {
+            Some(p) => self.answer_classify(spec, p, prompt, rng),
+            None => (
+                spec.caps.prior().answer_token().to_string(),
+                Some("prior-only guess".to_string()),
+            ),
+        }
+    }
+
     fn answer_rq1(
         &self,
         spec: &ModelSpec,
@@ -370,13 +373,8 @@ impl SurrogateEngine {
         // Prior-bias short circuit: skewed models sometimes answer from
         // their prior without consulting the code.
         if rng.chance(spec.caps.bias_strength) {
-            let answer = if spec.caps.bias_bandwidth {
-                Boundedness::Bandwidth
-            } else {
-                Boundedness::Compute
-            };
             return (
-                answer.answer_token().to_string(),
+                spec.caps.prior().answer_token().to_string(),
                 Some("prior-driven answer".into()),
             );
         }
@@ -489,16 +487,7 @@ pub fn complete_with_spec_on(
 ) -> String {
     let prompt_fp = prompt_fingerprint(prompt);
     let mut rng = NoiseStream::new(&spec.name, prompt_fp, seed, SamplingParams::default());
-    let (text, _) = if is_rq1_prompt(prompt) {
-        engine.answer_rq1(spec, prompt, prompt_fp, &mut rng)
-    } else {
-        let parsed = engine.caches.classify_fp(prompt, prompt_fp);
-        match parsed.as_ref() {
-            Some(p) => engine.answer_classify(spec, p, prompt, &mut rng),
-            None => ("Bandwidth".to_string(), None),
-        }
-    };
-    text
+    engine.answer(spec, prompt, prompt_fp, &mut rng).0
 }
 
 /// Clip a response body for embedding in an error message.
@@ -826,6 +815,37 @@ __global__ void reduce(float* out, const float* in) {
             .unwrap();
         assert_eq!(cb.text, "Compute");
         assert_eq!(bb.text, "Bandwidth");
+    }
+
+    #[test]
+    fn spec_answers_match_zoo_completions_on_every_prompt_kind() {
+        use pce_prompt::{render_classify_prompt, ClassifyRequest, ShotStyle};
+        let req = ClassifyRequest {
+            language: "CUDA".into(),
+            kernel_name: "copy".into(),
+            hardware: pce_roofline::HardwareSpec::rtx_3080(),
+            geometry: "(4096,1,1) and (256,1,1)".into(),
+            args: vec!["1048576".into()],
+            source: "__global__ void copy(const float* a, float* b) { b[0] = a[0]; }\n".into(),
+        };
+        let prompts = [
+            render_rq1_prompt(&generate_rq1_suite(5, 1), 0, 2, false),
+            render_classify_prompt(&req, ShotStyle::ZeroShot),
+            render_classify_prompt(&req, ShotStyle::FewShot),
+            "hello there".to_string(),
+        ];
+        let engine = SurrogateEngine::new();
+        for spec in crate::model_zoo() {
+            for (prompt, seed) in prompts.iter().flat_map(|p| (0..4).map(move |s| (p, s))) {
+                let zoo = engine.complete_prompt(&spec.name, prompt, None, seed);
+                assert_eq!(
+                    complete_with_spec_on(&engine, spec, prompt, seed),
+                    zoo.unwrap().text,
+                    "{} seed {seed}",
+                    spec.name
+                );
+            }
+        }
     }
 
     #[test]

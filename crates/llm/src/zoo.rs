@@ -6,6 +6,7 @@
 //! whether cache reuse is anticipated — and the evaluation measures
 //! whatever accuracy emerges. Costs are the paper's April-2025 prices.
 
+use pce_roofline::Boundedness;
 use serde::{Deserialize, Serialize};
 
 /// Mechanism strengths of one surrogate model.
@@ -35,6 +36,15 @@ impl Capability {
     /// Items closer to the balance point than this many decades are
     /// vulnerable to arithmetic slips.
     pub const SLIP_MARGIN_DECADES: f64 = 0.30;
+
+    /// The class the model answers from its prior alone.
+    pub fn prior(&self) -> Boundedness {
+        if self.bias_bandwidth {
+            Boundedness::Bandwidth
+        } else {
+            Boundedness::Compute
+        }
+    }
 }
 
 /// One zoo entry: identity, pricing, and capability.

@@ -13,7 +13,9 @@
 //!   to a wrong value. That property is what lets the caches guarantee
 //!   bit-identical warm and cold runs,
 //! * [`CacheCounters`] — hit/miss/eviction counters every cache exposes
-//!   to the bench harness's effectiveness report.
+//!   to the bench harness's effectiveness report,
+//! * [`Stages`] — the one stage clock: per-stage wall-clock laps
+//!   ([`StageTiming`]) for every run that reports its stages.
 //!
 //! ## Bounding
 //!
@@ -27,6 +29,10 @@
 //! bounded and unbounded runs produce byte-identical outputs.
 
 #![forbid(unsafe_code)]
+
+mod stages;
+
+pub use stages::{StageTiming, Stages};
 
 use std::collections::BTreeMap;
 use std::fmt;

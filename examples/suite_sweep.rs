@@ -7,6 +7,7 @@
 
 use parallel_code_estimation::core::caches::SuiteCaches;
 use parallel_code_estimation::core::suite::{run_suite, Suite};
+use parallel_code_estimation::core::Stages;
 use parallel_code_estimation::roofline::{HardwareSpec, OpClass};
 
 fn main() {
@@ -24,7 +25,8 @@ fn main() {
         suite.cpu_specs.len(),
         suite.cells().len()
     );
-    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke matrix axes are valid");
+    let outcome = run_suite(&suite, &SuiteCaches::new(), &mut Stages::start())
+        .expect("smoke matrix axes are valid");
 
     println!(
         "{:<28} {:<28} {:>9} {:>9} {:>8} {:>10}",

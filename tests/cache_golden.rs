@@ -2,9 +2,10 @@
 //! suite-scale caching PR must be *unobservable* in the artifacts.
 //!
 //! Cold caches, a freshly-populated bundle, a fully-warm bundle reused
-//! across runs, the timed runner, and any `RAYON_NUM_THREADS` must all
-//! render byte-identical reports — `total_cost` included, since billing
-//! derives from integer token totals over byte-identical prompts.
+//! across runs, a run whose stage clock is read, and any
+//! `RAYON_NUM_THREADS` must all render byte-identical reports —
+//! `total_cost` included, since billing derives from integer token
+//! totals over byte-identical prompts.
 //!
 //! Everything runs inside one `#[test]` so the env-var flip cannot race
 //! a concurrently running test in this binary (same pattern as
@@ -15,10 +16,11 @@ use parallel_code_estimation::core::report::{
     render_flips_csv, render_suite, render_suite_csv, render_table1,
 };
 use parallel_code_estimation::core::study::{Study, StudyData};
-use parallel_code_estimation::core::suite::{run_suite, run_suite_timed, Suite, SuiteOutcome};
+use parallel_code_estimation::core::suite::{run_suite, Suite, SuiteBench, SuiteOutcome};
 use parallel_code_estimation::core::table1::{
     build_table1, build_table1_from_bank_cached, Rq1Bank,
 };
+use parallel_code_estimation::core::Stages;
 use parallel_code_estimation::roofline::HardwareSpec;
 
 fn tiny_suite() -> Suite {
@@ -49,13 +51,13 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let suite = tiny_suite();
 
     // --- Reference: cold caches (a fresh bundle per run).
-    let cold = render(&run_suite(&suite, &SuiteCaches::new()).unwrap());
+    let cold = render(&run_suite(&suite, &SuiteCaches::new(), &mut Stages::start()).unwrap());
 
     // --- One shared bundle, exercised twice: the first run populates it,
     // the second is served by the profile memo and analysis caches.
     let caches = SuiteCaches::new();
-    let warm_first = render(&run_suite(&suite, &caches).unwrap());
-    let warm_second = render(&run_suite(&suite, &caches).unwrap());
+    let warm_first = render(&run_suite(&suite, &caches, &mut Stages::start()).unwrap());
+    let warm_second = render(&run_suite(&suite, &caches, &mut Stages::start()).unwrap());
     assert_eq!(cold, warm_first, "cold vs freshly-populated bundle");
     assert_eq!(cold, warm_second, "cold vs fully-warm bundle");
     let report = caches.report();
@@ -64,10 +66,25 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     assert!(report.analysis.hits > 0, "{report:?}");
     assert!(report.classify_parse.hits > 0, "{report:?}");
 
-    // --- The timed runner is instrumentation-only.
-    let (timed, bench) = run_suite_timed(&suite, &SuiteCaches::new()).unwrap();
+    // --- The stage clock is instrumentation-only: a run whose clock is
+    // read renders the cold bytes, and the clock holds the five stages.
+    let timed_caches = SuiteCaches::new();
+    let mut stages = Stages::start();
+    let timed = run_suite(&suite, &timed_caches, &mut stages).unwrap();
+    let bench = SuiteBench::new(&suite, &timed, &timed_caches, &stages);
     assert_eq!(cold, render(&timed), "timed vs untimed");
     assert_eq!(bench.specs, suite.specs.len());
+    let names: Vec<&str> = bench.stages.iter().map(|s| s.stage.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "corpus",
+            "tokenize",
+            "rq1-bank",
+            "spec-eval",
+            "flip-analysis"
+        ]
+    );
 
     // --- Table 1 (single-spec artifact), cold vs warm, total_cost
     // included in the rendered bytes.
@@ -89,11 +106,12 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     // on a cold one, forced through genuinely different rayon budgets.
     std::env::set_var("RAYON_NUM_THREADS", "4");
     assert_eq!(rayon::current_num_threads(), 4);
-    let warm_parallel = render(&run_suite(&suite, &caches).unwrap());
-    let cold_parallel = render(&run_suite(&suite, &SuiteCaches::new()).unwrap());
+    let warm_parallel = render(&run_suite(&suite, &caches, &mut Stages::start()).unwrap());
+    let cold_parallel =
+        render(&run_suite(&suite, &SuiteCaches::new(), &mut Stages::start()).unwrap());
     std::env::set_var("RAYON_NUM_THREADS", "1");
     assert_eq!(rayon::current_num_threads(), 1);
-    let warm_serial = render(&run_suite(&suite, &caches).unwrap());
+    let warm_serial = render(&run_suite(&suite, &caches, &mut Stages::start()).unwrap());
     std::env::remove_var("RAYON_NUM_THREADS");
 
     assert_eq!(warm_parallel, warm_serial, "warm: 4 threads vs 1 thread");
@@ -106,7 +124,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let tight = CacheBudget::uniform(96 * 1024);
     std::env::set_var("RAYON_NUM_THREADS", "4");
     let evicting = SuiteCaches::with_budget(tight);
-    let bounded_parallel = render(&run_suite(&suite, &evicting).unwrap());
+    let bounded_parallel = render(&run_suite(&suite, &evicting, &mut Stages::start()).unwrap());
     let report = evicting.report();
     assert!(
         report.total_evictions() > 0,
@@ -117,7 +135,14 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
         "resident bytes exceed the five per-cache budgets: {report:?}"
     );
     std::env::set_var("RAYON_NUM_THREADS", "1");
-    let bounded_serial = render(&run_suite(&suite, &SuiteCaches::with_budget(tight)).unwrap());
+    let bounded_serial = render(
+        &run_suite(
+            &suite,
+            &SuiteCaches::with_budget(tight),
+            &mut Stages::start(),
+        )
+        .unwrap(),
+    );
     std::env::remove_var("RAYON_NUM_THREADS");
     assert_eq!(cold, bounded_parallel, "bounded (evicting) vs cold");
     assert_eq!(cold, bounded_serial, "bounded: 1 thread vs cold");
@@ -127,7 +152,7 @@ fn cached_artifacts_are_byte_identical_across_cache_states_and_thread_counts() {
     let all_miss = SuiteCaches::with_budget(CacheBudget::uniform(1));
     assert_eq!(
         cold,
-        render(&run_suite(&suite, &all_miss).unwrap()),
+        render(&run_suite(&suite, &all_miss, &mut Stages::start()).unwrap()),
         "capacity-1 (all-miss) bundle diverged"
     );
     let report = all_miss.report();

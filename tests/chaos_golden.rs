@@ -13,6 +13,7 @@ use parallel_code_estimation::core::report::{
 };
 use parallel_code_estimation::core::study::ChaosConfig;
 use parallel_code_estimation::core::suite::{run_suite, Suite, SuiteOutcome};
+use parallel_code_estimation::core::Stages;
 use parallel_code_estimation::roofline::HardwareSpec;
 
 fn chaos_suite(chaos: Option<ChaosConfig>) -> Suite {
@@ -30,7 +31,8 @@ fn chaos_suite(chaos: Option<ChaosConfig>) -> Suite {
 
 fn run_and_render(chaos: Option<ChaosConfig>) -> (SuiteOutcome, String) {
     let suite = chaos_suite(chaos);
-    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke axes are valid");
+    let outcome =
+        run_suite(&suite, &SuiteCaches::new(), &mut Stages::start()).expect("smoke axes are valid");
     let rendered = format!(
         "{}\n{}\n{}",
         render_suite(&outcome),

@@ -16,6 +16,7 @@ use parallel_code_estimation::core::report::{
 use parallel_code_estimation::core::study::{Study, StudyData};
 use parallel_code_estimation::core::suite::{run_suite, Suite};
 use parallel_code_estimation::core::table1::build_table1;
+use parallel_code_estimation::core::Stages;
 use parallel_code_estimation::roofline::HardwareSpec;
 
 /// Render every artifact the golden test guards: the smoke-scale Table 1
@@ -30,7 +31,8 @@ fn render_everything() -> String {
         HardwareSpec::a100(),
         HardwareSpec::mi250x(),
     ]);
-    let outcome = run_suite(&suite, &SuiteCaches::new()).expect("smoke suite axes are valid");
+    let outcome = run_suite(&suite, &SuiteCaches::new(), &mut Stages::start())
+        .expect("smoke suite axes are valid");
 
     format!(
         "{}\n{}\n{}\n{}",

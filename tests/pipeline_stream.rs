@@ -11,7 +11,8 @@
 
 use parallel_code_estimation::core::study::Study;
 use parallel_code_estimation::dataset::{
-    run_pipeline_cached, run_pipeline_streamed, tokenize_corpus, Dataset, PipelineReport, Split,
+    run_pipeline_cached, run_pipeline_streamed_timed, tokenize_corpus, Dataset, PipelineConfig,
+    PipelineReport, Split,
 };
 use parallel_code_estimation::gpu_sim::SimCaches;
 use parallel_code_estimation::kernels::{CorpusSpec, VariantAxes};
@@ -26,6 +27,28 @@ fn render(dataset: &Dataset, split: &Split, report: &PipelineReport) -> String {
         serde_json::to_string(split).expect("split serializes"),
         serde_json::to_string(report).expect("report serializes"),
     )
+}
+
+/// The streamed pipeline, its laps checked: the four stages, in order.
+fn streamed(
+    spec: &CorpusSpec,
+    cfg: &PipelineConfig,
+    caches: &SimCaches,
+    shard_size: usize,
+) -> (Dataset, Split, PipelineReport) {
+    let (dataset, split, report, laps) =
+        run_pipeline_streamed_timed(spec, cfg, caches, shard_size).expect("streamed pipeline runs");
+    let names: Vec<&str> = laps.iter().map(|l| l.stage.as_str()).collect();
+    assert_eq!(
+        names,
+        [
+            "tokenize-train",
+            "shard-profile",
+            "select-balance",
+            "materialize"
+        ]
+    );
+    (dataset, split, report)
 }
 
 /// A smoke-scale variant-expanded spec: 210 base programs × unroll/
@@ -79,9 +102,7 @@ fn streamed_pipeline_is_byte_identical_across_shards_and_threads() {
         );
         for shard_size in [1, 37, 256, usize::MAX] {
             let caches = SimCaches::default();
-            let (dataset, split, report) =
-                run_pipeline_streamed(&spec, &study.pipeline, &caches, shard_size)
-                    .expect("streamed pipeline runs");
+            let (dataset, split, report) = streamed(&spec, &study.pipeline, &caches, shard_size);
             assert_eq!(
                 golden,
                 render(&dataset, &split, &report),
@@ -97,8 +118,7 @@ fn restreaming_the_same_seed_profiles_zero_new_kernels() {
     let (spec, study) = smoke_spec();
     let caches = SimCaches::default();
 
-    let (_, _, first) =
-        run_pipeline_streamed(&spec, &study.pipeline, &caches, 64).expect("first stream runs");
+    let (_, _, first) = streamed(&spec, &study.pipeline, &caches, 64);
     assert!(
         first.dedup.duplicates > 0,
         "variant expansion must produce duplicate profile fingerprints"
@@ -107,8 +127,7 @@ fn restreaming_the_same_seed_profiles_zero_new_kernels() {
     assert!(misses_after_first > 0, "first stream profiles kernels");
 
     // Same spec, same caches: every profile is a memo hit.
-    let (_, _, second) =
-        run_pipeline_streamed(&spec, &study.pipeline, &caches, 64).expect("second stream runs");
+    let (_, _, second) = streamed(&spec, &study.pipeline, &caches, 64);
     assert_eq!(
         caches.profiles().counters().misses,
         misses_after_first,
